@@ -113,6 +113,10 @@ Point QueryProcessor::ClampLocation(const Point& loc) const {
 Status QueryProcessor::UpsertObject(ObjectId id, const Point& loc,
                                     Timestamp t) {
   if (sharded_ != nullptr) return sharded_->UpsertObject(id, loc, t);
+  if (!IsFinite(loc) || !std::isfinite(t)) {
+    return Status::InvalidArgument(
+        "object report location and time must be finite");
+  }
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
   }
@@ -127,6 +131,10 @@ Status QueryProcessor::UpsertPredictiveObject(ObjectId id, const Point& loc,
                                               Timestamp t) {
   if (sharded_ != nullptr) {
     return sharded_->UpsertPredictiveObject(id, loc, vel, t);
+  }
+  if (!IsFinite(loc) || !IsFinite(vel) || !std::isfinite(t)) {
+    return Status::InvalidArgument(
+        "object report location, velocity and time must be finite");
   }
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
@@ -194,6 +202,9 @@ Rect QueryProcessor::ClampRegion(const Rect& region) const {
 
 Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
   if (sharded_ != nullptr) return sharded_->RegisterRangeQuery(id, region);
+  if (!IsFinite(region)) {
+    return Status::InvalidArgument("query region must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -210,6 +221,9 @@ Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
 
 Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
   if (sharded_ != nullptr) return sharded_->MoveRangeQuery(id, region);
+  if (!IsFinite(region)) {
+    return Status::InvalidArgument("query region must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -231,6 +245,9 @@ Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
 Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
                                         int k) {
   if (sharded_ != nullptr) return sharded_->RegisterKnnQuery(id, center, k);
+  if (!IsFinite(center)) {
+    return Status::InvalidArgument("query center must be finite");
+  }
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
   PendingQueryChange c;
@@ -244,6 +261,9 @@ Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
 
 Status QueryProcessor::MoveKnnQuery(QueryId id, const Point& center) {
   if (sharded_ != nullptr) return sharded_->MoveKnnQuery(id, center);
+  if (!IsFinite(center)) {
+    return Status::InvalidArgument("query center must be finite");
+  }
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
   if (*kind != QueryKind::kKnn) {
@@ -261,6 +281,9 @@ Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
                                            double radius) {
   if (sharded_ != nullptr) {
     return sharded_->RegisterCircleQuery(id, center, radius);
+  }
+  if (!IsFinite(center) || !std::isfinite(radius)) {
+    return Status::InvalidArgument("query center and radius must be finite");
   }
   if (radius <= 0.0) {
     return Status::InvalidArgument("circle radius must be positive");
@@ -281,6 +304,9 @@ Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
 
 Status QueryProcessor::MoveCircleQuery(QueryId id, const Point& center) {
   if (sharded_ != nullptr) return sharded_->MoveCircleQuery(id, center);
+  if (!IsFinite(center)) {
+    return Status::InvalidArgument("query center must be finite");
+  }
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
   if (*kind != QueryKind::kCircleRange) {
@@ -313,6 +339,10 @@ Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
   if (sharded_ != nullptr) {
     return sharded_->RegisterPredictiveQuery(id, region, t_from, t_to);
   }
+  if (!IsFinite(region) || !std::isfinite(t_from) ||
+      !std::isfinite(t_to)) {
+    return Status::InvalidArgument("query region and window must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -334,6 +364,9 @@ Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
 
 Status QueryProcessor::MovePredictiveQuery(QueryId id, const Rect& region) {
   if (sharded_ != nullptr) return sharded_->MovePredictiveQuery(id, region);
+  if (!IsFinite(region)) {
+    return Status::InvalidArgument("query region must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -1082,17 +1115,6 @@ size_t QueryProcessor::AnswerBytesResident() const {
   queries_.ForEach(
       [&](const QueryRecord& q) { bytes += q.answer.bytes_resident(); });
   return bytes;
-}
-
-bool QueryProcessor::AppendAnswerIds(QueryId id,
-                                     std::vector<ObjectId>* out) const {
-  STQ_CHECK(sharded_ == nullptr)
-      << "AppendAnswerIds() is single-grid only; the router owns the "
-         "sharded committed answers";
-  const QueryRecord* q = queries_.Find(id);
-  if (q == nullptr) return false;
-  for (ObjectId oid : q->answer) out->push_back(oid);
-  return true;
 }
 
 std::vector<KnnEvaluator::Neighbor> QueryProcessor::SearchKnn(

@@ -189,12 +189,6 @@ class QueryProcessor {
   // TickStats::bytes_resident at the end of every tick.
   size_t AnswerBytesResident() const;
 
-  // Appends the committed answer ids to `out` (unsorted, not cleared;
-  // no allocation beyond `out` growth); false when the query is unknown.
-  // Single-grid only — the sharded router captures departing shard
-  // answers through this without a per-query temporary vector.
-  bool AppendAnswerIds(QueryId id, std::vector<ObjectId>* out) const;
-
   // Exact k nearest neighbours of `center` over the current object
   // population, sorted by (distance^2, id). Empty when k < 1.
   std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,

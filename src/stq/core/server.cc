@@ -231,48 +231,60 @@ std::optional<ClientId> Server::OwnerOf(QueryId qid) const {
 std::vector<Server::Delivery> Server::Tick(Timestamp now) {
   last_tick_ = processor_.EvaluateTick(now);
 
-  // Route the canonical update stream per owning client. Hash iteration
-  // order never leaks: deliveries are sorted by client id below.
+  // Route the canonical update stream per owning client. The stream is
+  // sorted by query id, so owner and connectivity are looked up once per
+  // run of equal query ids: a first pass sizes every client's delivery,
+  // a second copies the runs in. Hash iteration order never leaks:
+  // deliveries are sorted by client id below.
   //
   // Updates owned by disconnected clients are counted and dropped up
   // front — materializing (and byte-accounting) a Delivery nobody will
   // receive is wasted work; those clients recover the lost stream from
-  // the committed-answer repository at wakeup. The connectivity verdict
-  // is cached per client so the routing loop stays one hash probe per
-  // update.
-  FlatMap<ClientId, Delivery> by_client;
-  FlatSet<ClientId> known_connected;
-  FlatSet<ClientId> known_disconnected;
-  for (const Update& u : last_tick_.updates) {
-    auto owner = query_owner_.find(u.query);
+  // the committed-answer repository at wakeup.
+  struct Run {
+    size_t begin = 0;
+    size_t end = 0;
+    size_t delivery = 0;  // index into `deliveries`
+  };
+  const std::vector<Update>& updates = last_tick_.updates;
+  std::vector<Run> runs;
+  std::vector<Delivery> deliveries;
+  std::vector<size_t> sizes;  // per delivery
+  FlatMap<ClientId, size_t> delivery_of;
+  for (size_t i = 0; i < updates.size();) {
+    const QueryId qid = updates[i].query;
+    const size_t begin = i;
+    while (i < updates.size() && updates[i].query == qid) ++i;
+    auto owner = query_owner_.find(qid);
     if (owner == query_owner_.end()) continue;  // unbound query: no channel
     const ClientId cid = owner->second;
-    if (known_disconnected.contains(cid)) {
-      ++updates_suppressed_for_disconnected_;
+    if (!IsConnected(cid)) {
+      updates_suppressed_for_disconnected_ += i - begin;
       continue;
     }
-    if (!known_connected.contains(cid)) {
-      if (IsConnected(cid)) {
-        known_connected.insert(cid);
-      } else {
-        known_disconnected.insert(cid);
-        ++updates_suppressed_for_disconnected_;
-        continue;
-      }
+    auto [slot, inserted] = delivery_of.try_emplace(cid, deliveries.size());
+    if (inserted) {
+      deliveries.emplace_back();
+      deliveries.back().client = cid;
+      sizes.push_back(0);
     }
-    Delivery& d = by_client[cid];
-    d.client = cid;
-    d.updates.push_back(u);
+    sizes[slot->second] += i - begin;
+    runs.push_back(Run{begin, i, slot->second});
+  }
+  for (size_t d = 0; d < deliveries.size(); ++d) {
+    deliveries[d].updates.reserve(sizes[d]);
+  }
+  for (const Run& run : runs) {
+    std::vector<Update>& dst = deliveries[run.delivery].updates;
+    dst.insert(dst.end(), updates.begin() + static_cast<ptrdiff_t>(run.begin),
+               updates.begin() + static_cast<ptrdiff_t>(run.end));
   }
 
-  std::vector<Delivery> deliveries;
-  deliveries.reserve(by_client.size());
   const WireCostModel& cost = options_.processor.wire_cost;
-  for (auto& [cid, d] : by_client) {
+  for (Delivery& d : deliveries) {
     d.delivered = true;
     d.bytes = cost.UpdateBytes(d.updates.size());
     total_bytes_shipped_ += d.bytes;
-    deliveries.push_back(std::move(d));
   }
   std::sort(deliveries.begin(), deliveries.end(),
             [](const Delivery& a, const Delivery& b) {

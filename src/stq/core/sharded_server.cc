@@ -9,6 +9,8 @@
 
 #include "stq/common/alloc_stats.h"
 #include "stq/common/check.h"
+#include "stq/core/answer_set.h"
+#include "stq/core/query_store.h"
 #include "stq/geo/geometry.h"
 #include "stq/geo/segment.h"
 
@@ -50,8 +52,8 @@ double RectDistance2(const Rect& r, const Point& p) {
 // +1/-1 shard updates and the -1 move-away captures for the pair; `plus`
 // counts the positive shard updates alone (a reset query rebuilds its
 // refcount from the positives of its new incarnation). Leaf streams are
-// sorted by (q, o) with one entry per pair, so merging two streams just
-// adds the fields of equal keys.
+// sorted by (q, o) with one entry per pair, so merging leaves just adds
+// the fields of equal keys.
 struct MergeEntry {
   QueryId q = 0;
   ObjectId o = 0;
@@ -64,49 +66,59 @@ bool MergeKeyLess(const MergeEntry& a, const MergeEntry& b) {
   return a.o < b.o;
 }
 
-// Sorts one shard's raw delta stream and combines duplicate (q, o) keys
-// in place: the canonical leaf of the merge reduction tree.
-void BuildLeafStream(std::vector<MergeEntry>* v) {
-  std::sort(v->begin(), v->end(), MergeKeyLess);
-  size_t w = 0;
-  for (size_t i = 0; i < v->size();) {
-    MergeEntry e = (*v)[i++];
-    while (i < v->size() && (*v)[i].q == e.q && (*v)[i].o == e.o) {
-      e.d += (*v)[i].d;
-      e.plus += (*v)[i].plus;
-      ++i;
+// Merge chunks per pool worker. More chunks than workers lets the
+// work-stealing dispatch even out chunks of unequal cost; the count
+// depends on the worker count only, so every worker count runs the same
+// partitioned code path.
+constexpr size_t kMergeChunksPerWorker = 4;
+
+// Builds one shard's leaf: the linear merge of its capture negatives and
+// its canonical update stream — both sorted by (query, object) — adding
+// the fields of equal keys.
+void BuildLeaf(const std::vector<MergeEntry>& captures,
+               const std::vector<Update>& updates,
+               std::vector<MergeEntry>* leaf) {
+  leaf->clear();
+  leaf->reserve(captures.size() + updates.size());
+  auto append = [leaf](const MergeEntry& e) {
+    if (!leaf->empty() && leaf->back().q == e.q && leaf->back().o == e.o) {
+      leaf->back().d += e.d;
+      leaf->back().plus += e.plus;
+      return;
     }
-    (*v)[w++] = e;
+    STQ_DCHECK(leaf->empty() || MergeKeyLess(leaf->back(), e))
+        << "shard leaf input out of (query, object) order";
+    leaf->push_back(e);
+  };
+  size_t i = 0;
+  for (const Update& u : updates) {
+    for (; i < captures.size() && (captures[i].q < u.query ||
+                                   (captures[i].q == u.query &&
+                                    captures[i].o <= u.object));
+         ++i) {
+      append(captures[i]);
+    }
+    const int d = u.sign == UpdateSign::kPositive ? 1 : -1;
+    append(MergeEntry{u.query, u.object, d, d > 0 ? 1 : 0});
   }
-  v->resize(w);
+  for (; i < captures.size(); ++i) append(captures[i]);
 }
 
-// Merges two sorted unique-key streams into `out` (cleared first), adding
-// the fields of equal keys. Per-key addition is associative and
-// commutative, so ANY reduction-tree pairing of the per-shard leaves
-// produces the same root stream — which is why the tree can run on the
-// worker pool without touching the byte-identity contract.
-void MergeStreams(const std::vector<MergeEntry>& a,
-                  const std::vector<MergeEntry>& b,
-                  std::vector<MergeEntry>* out) {
-  out->clear();
-  out->reserve(a.size() + b.size());
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (MergeKeyLess(a[i], b[j])) {
-      out->push_back(a[i++]);
-    } else if (MergeKeyLess(b[j], a[i])) {
-      out->push_back(b[j++]);
-    } else {
-      MergeEntry e = a[i++];
-      e.d += b[j].d;
-      e.plus += b[j].plus;
-      ++j;
-      out->push_back(e);
-    }
-  }
-  out->insert(out->end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
-  out->insert(out->end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
+// Merges the canonical-order streams `a` and `b` into the canonical-order
+// stream `out` and applies the cancel rule of CanonicalizeUpdates.
+void MergeCanonicalTails(const std::vector<Update>& a,
+                         const std::vector<Update>& b,
+                         std::vector<Update>* out) {
+  if (a.empty() && b.empty()) return;
+  const auto n = static_cast<ptrdiff_t>(out->size());
+  out->insert(out->end(), a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
+  std::inplace_merge(out->begin() + n,
+                     out->begin() + n + static_cast<ptrdiff_t>(a.size()),
+                     out->end(), CanonicalUpdateLess);
+  std::inplace_merge(out->begin(), out->begin() + n, out->end(),
+                     CanonicalUpdateLess);
+  DropCancellingPairs(out);
 }
 
 // One buffered operation for a shard, recorded during the serial route
@@ -150,19 +162,6 @@ struct KnnEvent {
   bool has_new = false;
 };
 
-// Snapshot of a query that is unregistered (or unregistered and
-// re-registered) within this tick. The single-grid engine ships phase-1
-// removal negatives for the OLD incarnation and, on re-registration, a
-// fresh full-answer positive stream — neither follows the plain refcount
-// transition rule, so these queries are merged specially. The membership
-// snapshot lives in TickScratch::reset_members as a [begin, end) slice,
-// so steady-state ticks do not allocate a vector per reset.
-struct Reset {
-  QueryId qid = 0;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
 }  // namespace
 
 // Tick-scoped working buffers, reused across EvaluateTick calls. Every
@@ -178,16 +177,17 @@ struct ShardedEngine::TickScratch {
   // Indexed by shard id; written only by the worker that claimed the
   // shard during the parallel phase (ops are read-only there).
   std::vector<std::vector<ShardOp>> ops;
-  std::vector<std::vector<MergeEntry>> shard_entries;  // leaf delta streams
-  std::vector<std::vector<ObjectId>> capture_ids;      // kCapture scratch
+  std::vector<std::vector<MergeEntry>> captures;  // move-away negatives
+  std::vector<std::vector<MergeEntry>> leaves;    // sorted leaf streams
   std::vector<TickResult> shard_results;
-  // Reduction tree: ping-pong pointer lists over the leaves plus one
-  // reused buffer per internal tree node.
-  std::vector<std::vector<MergeEntry>> tree_bufs;
-  std::vector<std::vector<MergeEntry>*> tree_cur;
-  std::vector<std::vector<MergeEntry>*> tree_next;
-  std::vector<Reset> resets;
-  std::vector<ObjectId> reset_members;  // flattened Reset snapshots
+  // Query-partitioned merge: the chunks' first query ids (after chunk 0)
+  // and the chunks' output streams.
+  std::vector<QueryId> chunk_cuts;
+  std::vector<std::vector<Update>> chunk_out;
+  // The two streams merged into the chunks' output last, each already in
+  // canonical order.
+  std::vector<Update> reset_negatives;
+  std::vector<Update> knn_updates;
   FlatSet<QueryId> reset_qids;
   FlatSet<ObjectId> global_removals;
   std::vector<FlatSet<ObjectId>> removed_from;
@@ -438,36 +438,28 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
     shard->EvaluateTickInto(last_tick_time_, &discard);
   }
 
-  // Rebuild the per-(query, object) shard refcounts from the new shard
-  // answers, and check the handoff invariant: membership is decided by
-  // exact geometry, so the committed answer KEYSET of every query must
-  // be unchanged — only multiplicities may differ.
-  FlatMap<QueryId, FlatMap<ObjectId, int>> new_members;
-  std::vector<ObjectId> answer_ids;
+  // Rebuild every query's shard refcounts from the new shard answers, and
+  // check the handoff invariant: membership is decided by exact geometry,
+  // so the committed answer KEYSET of every query must be unchanged — only
+  // multiplicities may differ.
   for (QueryId qid : qids) {
-    const RoutedQuery& rq = *queries_.FindPtr(qid);
+    RoutedQuery& rq = *queries_.FindPtr(qid);
     if (rq.kind == QueryKind::kKnn) continue;
-    FlatMap<ObjectId, int>& counts = new_members[qid];
+    FlatMap<ObjectId, int> counts;
     for (int s : rq.shards) {
-      answer_ids.clear();
-      STQ_CHECK(shards_[s]->AppendAnswerIds(qid, &answer_ids))
+      const QueryRecord* rec = shards_[s]->query_store().Find(qid);
+      STQ_CHECK(rec != nullptr)
           << "shard " << s << " lost query " << qid << " across rebalance";
-      for (ObjectId oid : answer_ids) ++counts[oid];
+      for (ObjectId oid : rec->answer) ++counts[oid];
     }
-    size_t old_size = 0;
-    if (const FlatMap<ObjectId, int>* old = members_.FindPtr(qid);
-        old != nullptr) {
-      for (const auto& [oid, c] : *old) {
-        if (c <= 0) continue;
-        ++old_size;
-        STQ_CHECK(counts.contains(oid))
-            << "rebalance dropped object " << oid << " from query " << qid;
-      }
+    for (const auto& [oid, c] : rq.counts) {
+      STQ_CHECK(counts.contains(oid))
+          << "rebalance dropped object " << oid << " from query " << qid;
     }
-    STQ_CHECK(counts.size() == old_size)
+    STQ_CHECK(counts.size() == rq.counts.size())
         << "rebalance changed the answer keyset of query " << qid;
+    rq.counts = std::move(counts);
   }
-  members_ = std::move(new_members);
 
   ShardRebalanceEvent event;
   event.tick_index = tick_index_;
@@ -505,6 +497,10 @@ Rect ShardedEngine::ClampRegion(const Rect& region) const {
 
 Status ShardedEngine::UpsertObject(ObjectId id, const Point& loc,
                                    Timestamp t) {
+  if (!IsFinite(loc) || !std::isfinite(t)) {
+    return Status::InvalidArgument(
+        "object report location and time must be finite");
+  }
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
   }
@@ -517,6 +513,10 @@ Status ShardedEngine::UpsertObject(ObjectId id, const Point& loc,
 Status ShardedEngine::UpsertPredictiveObject(ObjectId id, const Point& loc,
                                              const Velocity& vel,
                                              Timestamp t) {
+  if (!IsFinite(loc) || !IsFinite(vel) || !std::isfinite(t)) {
+    return Status::InvalidArgument(
+        "object report location, velocity and time must be finite");
+  }
   if (t < LatestKnownReportTime(id)) {
     return Status::InvalidArgument("stale object report");
   }
@@ -577,6 +577,9 @@ Result<QueryKind> ShardedEngine::EffectiveQueryKind(QueryId id) const {
 }
 
 Status ShardedEngine::RegisterRangeQuery(QueryId id, const Rect& region) {
+  if (!IsFinite(region)) {
+    return Status::InvalidArgument("query region must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -592,6 +595,9 @@ Status ShardedEngine::RegisterRangeQuery(QueryId id, const Rect& region) {
 }
 
 Status ShardedEngine::MoveRangeQuery(QueryId id, const Rect& region) {
+  if (!IsFinite(region)) {
+    return Status::InvalidArgument("query region must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -612,6 +618,9 @@ Status ShardedEngine::MoveRangeQuery(QueryId id, const Rect& region) {
 
 Status ShardedEngine::RegisterKnnQuery(QueryId id, const Point& center,
                                        int k) {
+  if (!IsFinite(center)) {
+    return Status::InvalidArgument("query center must be finite");
+  }
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
   PendingQueryChange c;
@@ -624,6 +633,9 @@ Status ShardedEngine::RegisterKnnQuery(QueryId id, const Point& center,
 }
 
 Status ShardedEngine::MoveKnnQuery(QueryId id, const Point& center) {
+  if (!IsFinite(center)) {
+    return Status::InvalidArgument("query center must be finite");
+  }
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
   if (*kind != QueryKind::kKnn) {
@@ -639,6 +651,9 @@ Status ShardedEngine::MoveKnnQuery(QueryId id, const Point& center) {
 
 Status ShardedEngine::RegisterCircleQuery(QueryId id, const Point& center,
                                           double radius) {
+  if (!IsFinite(center) || !std::isfinite(radius)) {
+    return Status::InvalidArgument("query center and radius must be finite");
+  }
   if (radius <= 0.0) {
     return Status::InvalidArgument("circle radius must be positive");
   }
@@ -657,6 +672,9 @@ Status ShardedEngine::RegisterCircleQuery(QueryId id, const Point& center,
 }
 
 Status ShardedEngine::MoveCircleQuery(QueryId id, const Point& center) {
+  if (!IsFinite(center)) {
+    return Status::InvalidArgument("query center must be finite");
+  }
   Result<QueryKind> kind = EffectiveQueryKind(id);
   if (!kind.ok()) return kind.status();
   if (*kind != QueryKind::kCircleRange) {
@@ -684,6 +702,10 @@ Status ShardedEngine::MoveCircleQuery(QueryId id, const Point& center) {
 
 Status ShardedEngine::RegisterPredictiveQuery(QueryId id, const Rect& region,
                                               double t_from, double t_to) {
+  if (!IsFinite(region) || !std::isfinite(t_from) ||
+      !std::isfinite(t_to)) {
+    return Status::InvalidArgument("query region and window must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -704,6 +726,9 @@ Status ShardedEngine::RegisterPredictiveQuery(QueryId id, const Rect& region,
 }
 
 Status ShardedEngine::MovePredictiveQuery(QueryId id, const Rect& region) {
+  if (!IsFinite(region)) {
+    return Status::InvalidArgument("query region must be finite");
+  }
   const Rect clamped = ClampRegion(region);
   if (clamped.IsEmpty()) {
     return Status::InvalidArgument(
@@ -801,6 +826,37 @@ void ShardedEngine::RouteShardsOfObject(const PendingObjectUpsert& u,
   STQ_DCHECK(!out->empty()) << "predictive object routed to no shard";
 }
 
+template <typename Fn>
+void ShardedEngine::ForEachAnswerMember(QueryId id, const RoutedQuery& rq,
+                                        Fn&& fn) const {
+  // A k-way union of the shards' answer sets; a query overlaps a handful
+  // of shards at most.
+  SmallVector<AnswerSet::const_iterator, 4> cur;
+  SmallVector<AnswerSet::const_iterator, 4> end;
+  for (int s : rq.shards) {
+    const QueryRecord* rec = shards_[s]->query_store().Find(id);
+    STQ_CHECK(rec != nullptr) << "shard " << s << " lost query " << id;
+    if (rec->answer.empty()) continue;
+    cur.push_back(rec->answer.begin());
+    end.push_back(rec->answer.end());
+  }
+  for (;;) {
+    bool any = false;
+    ObjectId next = 0;
+    for (size_t i = 0; i < cur.size(); ++i) {
+      if (cur[i] != end[i] && (!any || *cur[i] < next)) {
+        next = *cur[i];
+        any = true;
+      }
+    }
+    if (!any) return;
+    for (size_t i = 0; i < cur.size(); ++i) {
+      if (cur[i] != end[i] && *cur[i] == next) ++cur[i];
+    }
+    fn(next);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Tick
 // ---------------------------------------------------------------------------
@@ -852,19 +908,19 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
   std::vector<std::vector<ShardOp>>& ops = scratch.ops;
   ops.resize(num_shards);
   for (std::vector<ShardOp>& v : ops) v.clear();
-  // Per-shard leaf delta streams (captures + shard updates), built by the
-  // parallel tasks and combined by the reduction tree below.
-  std::vector<std::vector<MergeEntry>>& shard_entries = scratch.shard_entries;
-  shard_entries.resize(num_shards);
-  for (std::vector<MergeEntry>& v : shard_entries) v.clear();
-  std::vector<std::vector<ObjectId>>& capture_ids = scratch.capture_ids;
-  capture_ids.resize(num_shards);
-  std::vector<Reset>& resets = scratch.resets;  // ascending qid (change order)
-  std::vector<ObjectId>& reset_members = scratch.reset_members;
+  // Per-shard capture negatives and leaf delta streams (captures + shard
+  // updates), built by the parallel tasks and merged by the chunks below.
+  std::vector<std::vector<MergeEntry>>& captures = scratch.captures;
+  captures.resize(num_shards);
+  for (std::vector<MergeEntry>& v : captures) v.clear();
+  std::vector<std::vector<MergeEntry>>& leaves = scratch.leaves;
+  leaves.resize(num_shards);
+  // Phase-1 negatives of dropped queries, ascending (query, object): the
+  // drops run in ascending query order and read each answer ascending.
+  std::vector<Update>& reset_negatives = scratch.reset_negatives;
   FlatSet<QueryId>& reset_qids = scratch.reset_qids;
   FlatSet<ObjectId>& global_removals = scratch.global_removals;
-  resets.clear();
-  reset_members.clear();
+  reset_negatives.clear();
   reset_qids.clear();
   global_removals.clear();
   // Objects shard s will emit its own phase-1 removal negatives for this
@@ -950,7 +1006,21 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
         RoutedObject& ro = it->second;
         e.old_loc = ro.loc;
         e.has_old = true;
-        for (int s : ns) record_upsert(s);
+        for (int s : ns) {
+          // A report older than the stored one passes the stale check
+          // only after a removal of the object this tick, which the
+          // buffer folded into the report. The shard still stores the
+          // newer record, so it gets the removal too and folds it the
+          // same way.
+          if (u.t < ro.t &&
+              std::binary_search(ro.shards.begin(), ro.shards.end(), s)) {
+            ShardOp op;
+            op.kind = ShardOp::Kind::kRemoveObject;
+            op.id = u.id;
+            ops[s].push_back(op);
+          }
+          record_upsert(s);
+        }
         // Departed shards: the object hands off; the shard ships its own
         // phase-1 negatives for every answer it participated in there.
         for (int s : ro.shards) {
@@ -974,28 +1044,28 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     }
 
     // --- Route query changes ----------------------------------------------
-    auto snapshot_members = [&](QueryId qid, const RoutedQuery& rq, Reset* r) {
-      r->begin = reset_members.size();
-      if (rq.kind == QueryKind::kKnn) {
-        reset_members.insert(reset_members.end(), rq.knn_answer.begin(),
-                             rq.knn_answer.end());  // already sorted by id
-      } else if (auto mit = members_.find(qid); mit != members_.end()) {
-        for (const auto& [oid, cnt] : mit->second) {
-          reset_members.push_back(oid);
-        }
-        std::sort(reset_members.begin() + static_cast<ptrdiff_t>(r->begin),
-                  reset_members.end());
-      }
-      r->end = reset_members.size();
-    };
+    // Every removal is routed by now, so a dropped query's phase-1
+    // negatives (the single-grid engine ships one for every removed object
+    // that was a member at tick start, even when the query itself is
+    // dropped later in the tick) are known when it is dropped. Its shards'
+    // committed answers are still the tick-start ones: shard ops apply in
+    // the shard phase.
     auto drop_routed_query = [&](QueryId qid) {
       auto it = queries_.find(qid);
       STQ_CHECK(it != queries_.end()) << "dropping unknown query " << qid;
       RoutedQuery& rq = it->second;
-      Reset r;
-      r.qid = qid;
-      snapshot_members(qid, rq, &r);
-      resets.push_back(r);
+      if (!global_removals.empty()) {
+        auto note = [&](ObjectId oid) {
+          if (global_removals.contains(oid)) {
+            reset_negatives.push_back(Update::Negative(qid, oid));
+          }
+        };
+        if (rq.kind == QueryKind::kKnn) {
+          for (ObjectId oid : rq.knn_answer) note(oid);  // sorted by id
+        } else {
+          ForEachAnswerMember(qid, rq, note);
+        }
+      }
       reset_qids.insert(qid);
       for (int s : rq.shards) {
         ShardOp op;
@@ -1004,7 +1074,6 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
         ops[s].push_back(op);
         touched[s] = 1;
       }
-      members_.erase(qid);
       knn_dirty_.erase(qid);
       queries_.erase(it);
       ++stats->queries_unregistered;
@@ -1173,7 +1242,6 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
       const auto t0 = std::chrono::steady_clock::now();
       const int s = ticked[i];
       QueryProcessor& shard = *shards_[s];
-      std::vector<MergeEntry>& leaf = shard_entries[s];
       for (const ShardOp& op : ops[s]) {
         Status st;
         switch (op.kind) {
@@ -1211,14 +1279,15 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
             // shard tick — is exact: shard ingestion is buffered, so the
             // ops above cannot have changed the committed answer.
             // Objects this shard is removing this tick ship their own
-            // phase-1 negatives and are skipped.
-            std::vector<ObjectId>& captured = capture_ids[s];
-            captured.clear();
-            STQ_CHECK(shard.AppendAnswerIds(op.id, &captured))
+            // phase-1 negatives and are skipped. Captures run in
+            // ascending query order (the change order) and each answer
+            // iterates ascending, so they come out leaf-sorted.
+            const QueryRecord* rec = shard.query_store().Find(op.id);
+            STQ_CHECK(rec != nullptr)
                 << "shard " << s << " lost query " << op.id;
-            for (ObjectId oid : captured) {
+            for (ObjectId oid : rec->answer) {
               if (!removed_from[s].contains(oid)) {
-                leaf.push_back(MergeEntry{op.id, oid, -1, 0});
+                captures[s].push_back(MergeEntry{op.id, oid, -1, 0});
               }
             }
             continue;
@@ -1231,11 +1300,12 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
                            << op.id << ": " << st.ToString();
       }
       shard.EvaluateTickInto(now, &shard_results[s]);
-      for (const Update& u : shard_results[s].updates) {
-        const int d = u.sign == UpdateSign::kPositive ? 1 : -1;
-        leaf.push_back(MergeEntry{u.query, u.object, d, d > 0 ? 1 : 0});
-      }
-      BuildLeafStream(&leaf);
+      // Built in a local for the same cache-line reason as the merge
+      // chunks' outputs below.
+      std::vector<MergeEntry> leaf;
+      leaf.swap(leaves[s]);
+      BuildLeaf(captures[s], shard_results[s].updates, &leaf);
+      leaves[s].swap(leaf);
       shard_walls[i] = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -1267,104 +1337,130 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
   }
 
   // --- Refcount merge -------------------------------------------------------
-  // The sorted per-shard leaf streams are pairwise-combined on the worker
-  // pool by a reduction tree. Per-key (d, plus) addition is associative
-  // and commutative, so the root stream is independent of pairing and
-  // claim order; only the final application against the router's
-  // committed refcounts — which mutates members_ — stays serial.
+  // The query-id space is cut into chunks at query boundaries, so every
+  // query's refcounts belong to exactly one chunk. On the pool, each chunk
+  // k-way merges its slice of every (sorted) leaf, applies the refcount
+  // transitions of its queries and writes its own output buffer; nothing
+  // is inserted into or erased from the router maps. Concatenated in
+  // chunk order, the outputs are in canonical order, whatever the cuts
+  // and claim order.
   {
     PhaseTimer merge_timer(&stats->shard_merge_seconds);
-    std::vector<std::vector<MergeEntry>*>& cur = scratch.tree_cur;
-    std::vector<std::vector<MergeEntry>*>& next = scratch.tree_next;
-    std::vector<std::vector<MergeEntry>>& bufs = scratch.tree_bufs;
-    cur.clear();
-    for (int s : ticked) cur.push_back(&shard_entries[s]);
-    if (cur.size() > 1 && bufs.size() < cur.size() - 1) {
-      bufs.resize(cur.size() - 1);  // one reused buffer per internal node
-    }
-    size_t buf_idx = 0;
-    while (cur.size() > 1) {
-      const size_t pairs = cur.size() / 2;
-      auto merge_pair = [&](size_t j) {
-        MergeStreams(*cur[2 * j], *cur[2 * j + 1], &bufs[buf_idx + j]);
-      };
-      if (pool_ != nullptr && pairs > 1) {
-        pool_->RunDynamic(pairs, merge_pair);
-      } else {
-        for (size_t j = 0; j < pairs; ++j) merge_pair(j);
+    // Cut at evenly spaced entries of the largest leaf; shards split the
+    // universe by space, not by query id, so every leaf spans the id
+    // space much the same way.
+    std::vector<QueryId>& cuts = scratch.chunk_cuts;
+    cuts.clear();
+    const auto largest = std::max_element(
+        ticked.begin(), ticked.end(),
+        [&](int a, int b) { return leaves[a].size() < leaves[b].size(); });
+    if (largest != ticked.end() && !leaves[*largest].empty()) {
+      const std::vector<MergeEntry>& leaf = leaves[*largest];
+      const size_t want_chunks =
+          kMergeChunksPerWorker * static_cast<size_t>(worker_threads());
+      for (size_t c = 1; c < want_chunks; ++c) {
+        const QueryId q = leaf[c * leaf.size() / want_chunks].q;
+        if (cuts.empty() || q > cuts.back()) cuts.push_back(q);
       }
-      next.clear();
-      for (size_t j = 0; j < pairs; ++j) next.push_back(&bufs[buf_idx + j]);
-      if (cur.size() % 2 == 1) next.push_back(cur.back());
-      buf_idx += pairs;
-      cur.swap(next);
     }
+    const size_t num_chunks = cuts.size() + 1;
+    std::vector<std::vector<Update>>& chunk_out = scratch.chunk_out;
+    if (chunk_out.size() < num_chunks) chunk_out.resize(num_chunks);
 
-    static const std::vector<MergeEntry> kNoEntries;
-    const std::vector<MergeEntry>& entries =
-        cur.empty() ? kNoEntries : *cur[0];
-    size_t i = 0;
-    const size_t n = entries.size();
-    while (i < n) {
-      const QueryId q = entries[i].q;
-      size_t q_end = i;
-      while (q_end < n && entries[q_end].q == q) ++q_end;
-      if (reset_qids.contains(q)) {
-        // The query was dropped (and possibly re-registered) this tick.
-        // The single-grid engine starts the new incarnation's answer
-        // stream from scratch: every shard-reported member of the NEW
-        // incarnation ships as a positive, regardless of old membership;
-        // the old incarnation's emissions are discarded (its removal
-        // negatives are reconstructed below from the removal batch).
-        const bool reregistered = queries_.contains(q);
-        for (; i < q_end; ++i) {
-          if (reregistered && entries[i].plus > 0) {
-            out->push_back(Update::Positive(q, entries[i].o));
-            members_[q][entries[i].o] = entries[i].plus;
-          }
-        }
-      } else {
-        auto mit = members_.find(q);
-        if (mit == members_.end()) {
-          mit = members_.try_emplace(q).first;
-        }
-        auto& counts = mit->second;
-        for (; i < q_end; ++i) {
-          const ObjectId o = entries[i].o;
-          const int delta = entries[i].d;
-          if (delta == 0) continue;  // cancelled within or across shards
-          auto cit = counts.find(o);
-          const int before = cit == counts.end() ? 0 : cit->second;
-          const int after = before + delta;
-          STQ_DCHECK(after >= 0) << "negative shard refcount for query " << q
-                                 << ", object " << o;
-          if (before == 0 && after > 0) {
-            out->push_back(Update::Positive(q, o));
-          } else if (before > 0 && after == 0) {
-            out->push_back(Update::Negative(q, o));
-          }
-          if (after == 0) {
-            if (cit != counts.end()) counts.erase(cit);
-          } else if (cit == counts.end()) {
-            counts.emplace(o, after);
-          } else {
-            cit->second = after;
-          }
-        }
-        if (counts.empty()) members_.erase(mit);
+    auto merge_chunk = [&](size_t c) {
+      // The output vector is grown as a local: neighbouring chunks'
+      // vector headers share cache lines, and writing them once per
+      // entry would bounce those lines between workers.
+      std::vector<Update> dst;
+      dst.swap(chunk_out[c]);
+      dst.clear();
+      auto first_of = [](const std::vector<MergeEntry>& leaf, QueryId q) {
+        return std::lower_bound(
+            leaf.data(), leaf.data() + leaf.size(), q,
+            [](const MergeEntry& e, QueryId id) { return e.q < id; });
+      };
+      SmallVector<const MergeEntry*, 8> pos;
+      SmallVector<const MergeEntry*, 8> end;
+      for (int s : ticked) {
+        const std::vector<MergeEntry>& leaf = leaves[s];
+        pos.push_back(c == 0 ? leaf.data() : first_of(leaf, cuts[c - 1]));
+        end.push_back(c + 1 == num_chunks ? leaf.data() + leaf.size()
+                                          : first_of(leaf, cuts[c]));
       }
+      QueryId q = 0;
+      bool have_q = false;
+      bool reset = false;
+      RoutedQuery* rq = nullptr;
+      for (;;) {
+        const MergeEntry* head = nullptr;
+        for (size_t l = 0; l < pos.size(); ++l) {
+          if (pos[l] != end[l] &&
+              (head == nullptr || MergeKeyLess(*pos[l], *head))) {
+            head = pos[l];
+          }
+        }
+        if (head == nullptr) break;
+        MergeEntry sum{head->q, head->o, 0, 0};
+        for (size_t l = 0; l < pos.size(); ++l) {
+          if (pos[l] != end[l] && pos[l]->q == sum.q &&
+              pos[l]->o == sum.o) {
+            sum.d += pos[l]->d;
+            sum.plus += pos[l]->plus;
+            ++pos[l];
+          }
+        }
+        if (!have_q || sum.q != q) {
+          q = sum.q;
+          have_q = true;
+          reset = reset_qids.contains(q);
+          rq = queries_.FindPtr(q);
+        }
+        if (reset) {
+          // The query was dropped (and possibly re-registered) this tick.
+          // The single-grid engine starts the new incarnation's answer
+          // stream from scratch: every shard-reported member of the NEW
+          // incarnation ships as a positive, regardless of old
+          // membership; the old incarnation's emissions are discarded
+          // (its removal negatives are the reset negatives).
+          if (rq != nullptr && sum.plus > 0) {
+            dst.push_back(Update::Positive(q, sum.o));
+            rq->counts[sum.o] = sum.plus;
+          }
+          continue;
+        }
+        if (sum.d == 0) continue;  // cancelled within or across shards
+        STQ_DCHECK(rq != nullptr) << "merge entry for unrouted query " << q;
+        FlatMap<ObjectId, int>& counts = rq->counts;
+        auto cit = counts.find(sum.o);
+        const int before = cit == counts.end() ? 0 : cit->second;
+        const int after = before + sum.d;
+        STQ_DCHECK(after >= 0) << "negative shard refcount for query " << q
+                               << ", object " << sum.o;
+        if (before == 0 && after > 0) {
+          dst.push_back(Update::Positive(q, sum.o));
+        } else if (before > 0 && after == 0) {
+          dst.push_back(Update::Negative(q, sum.o));
+        }
+        if (after == 0) {
+          if (cit != counts.end()) counts.erase(cit);
+        } else if (cit == counts.end()) {
+          counts.emplace(sum.o, after);
+        } else {
+          cit->second = after;
+        }
+      }
+      chunk_out[c].swap(dst);
+    };
+    if (pool_ != nullptr && num_chunks > 1) {
+      pool_->RunDynamic(num_chunks, merge_chunk);
+    } else {
+      for (size_t c = 0; c < num_chunks; ++c) merge_chunk(c);
     }
-    // Reset negatives: the single-grid engine's phase 1 ships a negative
-    // for every removed object that was a member of a query at tick
-    // start — even when the query itself is dropped later in the tick.
-    if (!global_removals.empty()) {
-      for (const Reset& r : resets) {
-        for (size_t m = r.begin; m < r.end; ++m) {
-          if (global_removals.contains(reset_members[m])) {
-            out->push_back(Update::Negative(r.qid, reset_members[m]));
-          }
-        }
-      }
+    size_t total = 0;
+    for (size_t c = 0; c < num_chunks; ++c) total += chunk_out[c].size();
+    out->reserve(total);
+    for (size_t c = 0; c < num_chunks; ++c) {
+      out->insert(out->end(), chunk_out[c].begin(), chunk_out[c].end());
     }
   }
 
@@ -1396,6 +1492,8 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     dirty.assign(knn_dirty_.begin(), knn_dirty_.end());
     std::sort(dirty.begin(), dirty.end());
     knn_dirty_.clear();
+    std::vector<Update>& knn_out = scratch.knn_updates;
+    knn_out.clear();
     for (QueryId qid : dirty) {
       auto it = queries_.find(qid);
       if (it == queries_.end() || it->second.kind != QueryKind::kKnn) continue;
@@ -1411,10 +1509,10 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
       while (a < rq.knn_answer.size() || b < fresh.size()) {
         if (b == fresh.size() ||
             (a < rq.knn_answer.size() && rq.knn_answer[a] < fresh[b])) {
-          out->push_back(Update::Negative(qid, rq.knn_answer[a]));
+          knn_out.push_back(Update::Negative(qid, rq.knn_answer[a]));
           ++a;
         } else if (a == rq.knn_answer.size() || fresh[b] < rq.knn_answer[a]) {
-          out->push_back(Update::Positive(qid, fresh[b]));
+          knn_out.push_back(Update::Positive(qid, fresh[b]));
           ++b;
         } else {
           ++a;
@@ -1429,7 +1527,12 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     }
   }
 
-  CanonicalizeUpdates(out);
+  {
+    // The reset negatives and the k-NN diffs (ascending query id, each
+    // query's ids ascending) merge into the chunks' canonical stream.
+    PhaseTimer merge_timer(&stats->shard_merge_seconds);
+    MergeCanonicalTails(reset_negatives, scratch.knn_updates, out);
+  }
   for (const Update& u : *out) {
     if (u.sign == UpdateSign::kPositive) {
       ++stats->positive_updates;
@@ -1475,13 +1578,13 @@ Result<std::vector<ObjectId>> ShardedEngine::CurrentAnswer(QueryId id) const {
     os << "query " << id << " unknown";
     return Status::NotFound(os.str());
   }
-  if (it->second.kind == QueryKind::kKnn) return it->second.knn_answer;
+  const RoutedQuery& rq = it->second;
+  if (rq.kind == QueryKind::kKnn) return rq.knn_answer;
   std::vector<ObjectId> answer;
-  if (auto mit = members_.find(id); mit != members_.end()) {
-    answer.reserve(mit->second.size());
-    for (const auto& [oid, cnt] : mit->second) answer.push_back(oid);
-    std::sort(answer.begin(), answer.end());
-  }
+  answer.reserve(rq.counts.size());
+  ForEachAnswerMember(id, rq, [&answer](ObjectId oid) {
+    answer.push_back(oid);
+  });
   return answer;
 }
 
@@ -1489,13 +1592,20 @@ bool ShardedEngine::GetAnswerSet(QueryId id, AnswerSet* out) const {
   out->clear();
   auto it = queries_.find(id);
   if (it == queries_.end()) return false;
-  if (it->second.kind == QueryKind::kKnn) {
-    out->insert(it->second.knn_answer.begin(), it->second.knn_answer.end());
+  const RoutedQuery& rq = it->second;
+  if (rq.kind == QueryKind::kKnn) {
+    out->insert(rq.knn_answer.begin(), rq.knn_answer.end());
     return true;
   }
-  if (auto mit = members_.find(id); mit != members_.end()) {
-    for (const auto& [oid, cnt] : mit->second) out->insert(oid);
+  if (rq.shards.size() == 1) {
+    // Most queries live in one shard: its answer set is the answer.
+    const QueryRecord* rec = shards_[rq.shards[0]]->query_store().Find(id);
+    STQ_CHECK(rec != nullptr)
+        << "shard " << rq.shards[0] << " lost query " << id;
+    *out = rec->answer;
+    return true;
   }
+  ForEachAnswerMember(id, rq, [out](ObjectId oid) { out->insert(oid); });
   return true;
 }
 
@@ -1525,11 +1635,8 @@ void ShardedEngine::ForEachQueryInfo(
     info.k = rq.k;
     info.t_from = rq.t_from;
     info.t_to = rq.t_to;
-    if (rq.kind == QueryKind::kKnn) {
-      info.answer_size = rq.knn_answer.size();
-    } else if (auto mit = members_.find(qid); mit != members_.end()) {
-      info.answer_size = mit->second.size();
-    }
+    info.answer_size = rq.kind == QueryKind::kKnn ? rq.knn_answer.size()
+                                                  : rq.counts.size();
     fn(info);
   }
 }
@@ -1756,9 +1863,7 @@ void ShardedEngine::AuditCrossShard(
       if (!ans.ok()) continue;
       for (ObjectId oid : *ans) ++counts[oid];
     }
-    const auto mit = members_.find(qid);
-    static const FlatMap<ObjectId, int> kEmpty;
-    const auto& committed = mit == members_.end() ? kEmpty : mit->second;
+    const FlatMap<ObjectId, int>& committed = rq.counts;
     std::vector<ObjectId> keys;
     for (const auto& [oid, cnt] : counts) keys.push_back(oid);
     for (const auto& [oid, cnt] : committed) keys.push_back(oid);

@@ -18,19 +18,22 @@
 //     actually reaches — each shard engine further clamps the region to
 //     its own bounds;
 //   * deduplicates the per-shard positive/negative update streams with a
-//     per-(query, object) reference count: a global update is emitted
-//     only when the count transitions 0 <-> positive, so an object
-//     handed from one shard to another (a cancelling -/+ pair) or
-//     matched by several replicas yields no spurious updates. The
-//     per-shard streams are pre-combined on the worker pool by a
-//     deterministic pairwise reduction tree (sorted delta streams with
-//     per-pair (delta, positive-count) sums — associative, so any
-//     pairing yields the same root stream); only the final refcount
-//     application against the router's committed answers runs serially;
-//   * merges the result into one canonical, deterministically ordered
-//     stream (CanonicalizeUpdates), byte-identical to the single-grid
-//     QueryProcessor's stream — the property the sharded differential
-//     tests pin down.
+//     per-(query, object) reference count, held in each query's routing
+//     record: a global update is emitted only when the count transitions
+//     0 <-> positive, so an object handed from one shard to another (a
+//     cancelling -/+ pair) or matched by several replicas yields no
+//     spurious updates. Each shard's stream is already sorted by
+//     (query, object), so the merge cuts the query-id space into chunks
+//     at query boundaries and runs the chunks on the worker pool: each
+//     chunk k-way merges its slice of every shard stream, applies the
+//     refcount transitions of its own queries and writes its own output;
+//   * concatenates the chunk outputs in query order, which is already the
+//     canonical order of CanonicalizeUpdates — byte-identical to the
+//     single-grid QueryProcessor's stream, the property the sharded
+//     differential tests pin down.
+//
+// Answers are read straight from the shards: a query's committed answer
+// is the union of its shards' answer sets.
 //
 // k-NN queries are evaluated at the router: the home shard (the one
 // containing the focal point) answers first, and the answer circle's
@@ -54,11 +57,13 @@
 // read-only. The fork and join barriers inside ThreadPool::RunShards
 // (which RunDynamic is built on) run under the pool's annotated
 // stq::Mutex, so every per-shard write made by a worker happens-before
-// the router's merge that follows the call. The reduction-tree merge
-// reuses the same contract: each tree node is merged by exactly one
-// worker into its own output buffer. The capability annotations live
-// where the sharing actually happens: common/thread_pool.h. See
-// DESIGN.md, "Static analysis & concurrency contracts".
+// the router's merge that follows the call. The chunked merge reuses the
+// same contract: each chunk is merged by exactly one worker, which writes
+// only its own queries' refcounts and its own output buffer; no thread
+// inserts into or erases from the router maps while it runs. The
+// capability annotations live where the sharing actually happens:
+// common/thread_pool.h. See DESIGN.md, "Static analysis & concurrency
+// contracts".
 
 #ifndef STQ_CORE_SHARDED_SERVER_H_
 #define STQ_CORE_SHARDED_SERVER_H_
@@ -222,6 +227,9 @@ class ShardedEngine {
     // the k-th neighbour (+inf while fewer than k objects exist).
     std::vector<ObjectId> knn_answer;
     double knn_dist2 = std::numeric_limits<double>::infinity();
+    // Non-k-NN only: how many of the query's shards report each member.
+    // The committed answer is exactly the keys (counts are positive).
+    FlatMap<ObjectId, int> counts;
   };
 
   // Ingestion mirrors (same semantics as QueryProcessor's privates).
@@ -236,6 +244,11 @@ class ShardedEngine {
   void RouteShardsOf(const RoutedQuery& rq, ShardList* out) const;
   // The shards a (pending) object report routes to.
   void RouteShardsOfObject(const PendingObjectUpsert& u, ShardList* out) const;
+
+  // Calls fn(id) for every member of non-k-NN query `id`'s committed
+  // answer, ascending: the union of its shards' answer sets.
+  template <typename Fn>
+  void ForEachAnswerMember(QueryId id, const RoutedQuery& rq, Fn&& fn) const;
 
   // The per-shard QueryProcessor options for shard `s` under the current
   // ShardMap (uniform or post-rebalance explicit boundaries).
@@ -256,10 +269,6 @@ class ShardedEngine {
   UpdateBuffer buffer_;
   FlatMap<ObjectId, RoutedObject> objects_;
   FlatMap<QueryId, RoutedQuery> queries_;
-  // Per-(query, object) shard-membership reference counts for non-k-NN
-  // queries: how many shards currently report the pair. The committed
-  // global answer is exactly the keys with positive count.
-  FlatMap<QueryId, FlatMap<ObjectId, int>> members_;
   // k-NN queries needing re-evaluation at the next tick (focal point
   // moved or freshly registered; object-driven dirtiness is derived from
   // the tick's report batch).
@@ -278,8 +287,8 @@ class ShardedEngine {
   // Tick-scoped scratch reused across EvaluateTick calls; every container
   // is cleared before use, so no state carries over — only capacity does
   // (see DESIGN.md, "Memory layout & allocation discipline"). The
-  // MergeEntry/Reset/KnnEvent element types are private to the .cc, so
-  // the buffers they need are declared there via this opaque holder.
+  // MergeEntry/KnnEvent element types are private to the .cc, so the
+  // buffers they need are declared there via this opaque holder.
   struct TickScratch;
   std::unique_ptr<TickScratch> scratch_;
 };

@@ -13,15 +13,13 @@ std::string Update::DebugString() const {
 }
 
 void CanonicalizeUpdates(std::vector<Update>* updates) {
-  std::sort(updates->begin(), updates->end(),
-            [](const Update& a, const Update& b) {
-              if (a.query != b.query) return a.query < b.query;
-              if (a.object != b.object) return a.object < b.object;
-              return a.sign < b.sign;  // '-' < '+'
-            });
-  // Drop cancelling (-,+) pairs for the same (query, object). After the
-  // sort above, such a pair is adjacent with the negative first.
-  // Compacted in place: this runs once per shard per tick, so a
+  std::sort(updates->begin(), updates->end(), CanonicalUpdateLess);
+  DropCancellingPairs(updates);
+}
+
+void DropCancellingPairs(std::vector<Update>* updates) {
+  // In canonical order a cancelling pair for one (query, object) is
+  // adjacent. Compacted in place: this runs once per shard per tick, so a
   // temporary output vector would allocate on every tick.
   size_t w = 0;
   for (size_t i = 0; i < updates->size(); ++i) {

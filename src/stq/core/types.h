@@ -41,11 +41,24 @@ struct Update {
   }
 };
 
+// The canonical stream order: by (query, object), then by sign character
+// ('+' before '-').
+inline bool CanonicalUpdateLess(const Update& a, const Update& b) {
+  if (a.query != b.query) return a.query < b.query;
+  if (a.object != b.object) return a.object < b.object;
+  return a.sign < b.sign;
+}
+
 // Removes (+,-) pairs that cancel out within one tick and orders the
-// stream deterministically by (query, object), negatives before
-// positives. The evaluation passes never produce cancelling pairs for a
-// consistent engine state, but callers composing streams may.
+// stream deterministically by CanonicalUpdateLess. The evaluation passes
+// never produce cancelling pairs for a consistent engine state, but
+// callers composing streams may.
 void CanonicalizeUpdates(std::vector<Update>* updates);
+
+// The cancel half of CanonicalizeUpdates, for a stream already in
+// canonical order: drops each adjacent pair of opposite signs for one
+// (query, object), in place.
+void DropCancellingPairs(std::vector<Update>* updates);
 
 struct TickStats {
   size_t object_updates_applied = 0;

@@ -32,6 +32,15 @@ struct Velocity {
   }
 };
 
+// False when a coordinate is NaN or infinite. Such a value has no grid
+// cell, no shard and no order, so the engines reject it at the API.
+inline bool IsFinite(const Point& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
+inline bool IsFinite(const Velocity& v) {
+  return std::isfinite(v.vx) && std::isfinite(v.vy);
+}
+
 inline double SquaredDistance(const Point& a, const Point& b) {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;

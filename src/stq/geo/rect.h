@@ -88,6 +88,11 @@ struct Rect {
   }
 };
 
+inline bool IsFinite(const Rect& r) {
+  return std::isfinite(r.min_x) && std::isfinite(r.min_y) &&
+         std::isfinite(r.max_x) && std::isfinite(r.max_y);
+}
+
 // Decomposes the set difference `a - b` into at most four disjoint
 // rectangles. The union of the returned rectangles (closed regions) covers
 // exactly the points of `a` outside the open interior of `b`; this is the

@@ -85,8 +85,8 @@ TEST(AllocBudgetTest, ShardedSteadyStateTickStaysUnderBudget) {
                                                   /*workers=*/4);
   std::printf("steady-state worst allocs/tick (4 shards): %llu\n",
               static_cast<unsigned long long>(worst));
-  // With per-shard op batches, leaf streams, reduction-tree buffers and
-  // result envelopes all living in the router's TickScratch, the sharded
+  // With per-shard op batches, leaf streams, merge-chunk cuts and outputs
+  // and result envelopes all living in the router's TickScratch, the sharded
   // steady state sits within a few dozen allocations of the single-grid
   // engine's (the remainder is std::function dispatch in the pool). Keep
   // it there: the old per-tick router buffers cost ~700 extra

@@ -1,10 +1,15 @@
 // API robustness fuzzing: long random sequences of valid AND invalid
-// calls against the query processor and the server. Nothing here asserts
-// specific answers — the properties are (a) no crash, (b) every call
-// returns a Status rather than corrupting state, and (c) the engine's
-// invariants hold after every evaluation.
+// calls against the query processor and the server, on the single grid
+// and on 4 shards. Nothing here asserts specific answers — the properties
+// are (a) no crash, (b) every call returns a Status rather than
+// corrupting state, (c) every call carrying a NaN or infinite value is
+// rejected with InvalidArgument, and (d) the engine's invariants hold
+// after every evaluation.
 
+#include <cmath>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,14 +21,44 @@
 namespace stq {
 namespace {
 
-class ApiFuzz : public ::testing::TestWithParam<uint64_t> {};
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A uniform draw from [lo, hi), replaced now and then by NaN or +-inf.
+double Draw(Xorshift128Plus* rng, double lo, double hi) {
+  switch (rng->NextUint64(60)) {
+    case 0:
+      return kNaN;
+    case 1:
+      return kInf;
+    case 2:
+      return -kInf;
+    default:
+      return rng->NextDouble(lo, hi);
+  }
+}
+
+// Every call that carried a non-finite value must be rejected as an
+// invalid argument, whatever else is wrong with it.
+void ExpectVerdict(bool finite, const Status& status, int step) {
+  if (!finite) {
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << "step " << step << ": non-finite input got " << status.ToString();
+  }
+}
+
+// (seed, num_shards)
+class ApiFuzz
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 
 TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
-  Xorshift128Plus rng(GetParam());
+  Xorshift128Plus rng(std::get<0>(GetParam()));
   QueryProcessorOptions options;
   options.grid_cells_per_side = rng.NextInt(1, 24);
   options.prediction_horizon = rng.NextDouble(1.0, 50.0);
   options.record_history = rng.NextBool(0.5);
+  options.num_shards = std::get<1>(GetParam());
+  options.worker_threads = options.num_shards > 1 ? 2 : 1;
   QueryProcessor qp(options);
 
   // Small id spaces so that valid and invalid ids collide often.
@@ -35,45 +70,64 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
     const ObjectId oid = 1 + rng.NextUint64(max_object);
     const QueryId qid = 1 + rng.NextUint64(max_query);
     // Points sometimes outside the space; timestamps sometimes stale.
-    const Point p{rng.NextDouble(-0.5, 1.5), rng.NextDouble(-0.5, 1.5)};
-    const double t = rng.NextBool(0.1) ? now - rng.NextDouble(0.0, 5.0)
-                                       : now + rng.NextDouble(0.0, 1.0);
+    const Point p{Draw(&rng, -0.5, 1.5), Draw(&rng, -0.5, 1.5)};
+    const double t = rng.NextBool(0.1) ? now - Draw(&rng, 0.0, 5.0)
+                                       : now + Draw(&rng, 0.0, 1.0);
+    Status st;
     switch (rng.NextUint64(12)) {
       case 0:
-        (void)qp.UpsertObject(oid, p, t);
+        st = qp.UpsertObject(oid, p, t);
+        ExpectVerdict(IsFinite(p) && std::isfinite(t), st, step);
         break;
-      case 1:
-        (void)qp.UpsertPredictiveObject(
-            oid, p, Velocity{rng.NextDouble(-0.1, 0.1),
-                             rng.NextDouble(-0.1, 0.1)}, t);
+      case 1: {
+        const Velocity v{Draw(&rng, -0.1, 0.1), Draw(&rng, -0.1, 0.1)};
+        st = qp.UpsertPredictiveObject(oid, p, v, t);
+        ExpectVerdict(IsFinite(p) && IsFinite(v) && std::isfinite(t), st,
+                      step);
         break;
+      }
       case 2:
         (void)qp.RemoveObject(oid);
         break;
-      case 3:
-        (void)qp.RegisterRangeQuery(
-            qid, Rect::CenteredSquare(p, rng.NextDouble(-0.1, 0.4)));
+      case 3: {
+        const Rect region = Rect::CenteredSquare(p, Draw(&rng, -0.1, 0.4));
+        st = qp.RegisterRangeQuery(qid, region);
+        ExpectVerdict(IsFinite(region), st, step);
         break;
-      case 4:
-        (void)qp.MoveRangeQuery(
-            qid, Rect::CenteredSquare(p, rng.NextDouble(0.01, 0.4)));
+      }
+      case 4: {
+        const Rect region = Rect::CenteredSquare(p, Draw(&rng, 0.01, 0.4));
+        st = qp.MoveRangeQuery(qid, region);
+        ExpectVerdict(IsFinite(region), st, step);
         break;
+      }
       case 5:
-        (void)qp.RegisterKnnQuery(qid, p, rng.NextInt(-2, 8));
+        st = qp.RegisterKnnQuery(qid, p, rng.NextInt(-2, 8));
+        ExpectVerdict(IsFinite(p), st, step);
         break;
       case 6:
-        (void)qp.MoveKnnQuery(qid, p);
+        st = qp.MoveKnnQuery(qid, p);
+        ExpectVerdict(IsFinite(p), st, step);
         break;
-      case 7:
-        (void)qp.RegisterPredictiveQuery(
-            qid, Rect::CenteredSquare(p, rng.NextDouble(0.01, 0.4)),
-            rng.NextDouble(0.0, 30.0), rng.NextDouble(-5.0, 40.0));
+      case 7: {
+        const Rect region = Rect::CenteredSquare(p, Draw(&rng, 0.01, 0.4));
+        const double t_from = Draw(&rng, 0.0, 30.0);
+        const double t_to = Draw(&rng, -5.0, 40.0);
+        st = qp.RegisterPredictiveQuery(qid, region, t_from, t_to);
+        ExpectVerdict(IsFinite(region) && std::isfinite(t_from) &&
+                          std::isfinite(t_to),
+                      st, step);
         break;
-      case 8:
-        (void)qp.RegisterCircleQuery(qid, p, rng.NextDouble(-0.05, 0.3));
+      }
+      case 8: {
+        const double radius = Draw(&rng, -0.05, 0.3);
+        st = qp.RegisterCircleQuery(qid, p, radius);
+        ExpectVerdict(IsFinite(p) && std::isfinite(radius), st, step);
         break;
+      }
       case 9:
-        (void)qp.MoveCircleQuery(qid, p);
+        st = qp.MoveCircleQuery(qid, p);
+        ExpectVerdict(IsFinite(p), st, step);
         break;
       case 10:
         (void)qp.UnregisterQuery(qid);
@@ -96,9 +150,10 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
 }
 
 TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
-  Xorshift128Plus rng(GetParam() * 31 + 7);
+  Xorshift128Plus rng(std::get<0>(GetParam()) * 31 + 7);
   Server::Options options;
   options.processor.grid_cells_per_side = 8;
+  options.processor.num_shards = std::get<1>(GetParam());
   Server server(options);
   double now = 0.0;
 
@@ -106,7 +161,8 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
     const ClientId cid = 1 + rng.NextUint64(4);
     const QueryId qid = 1 + rng.NextUint64(10);
     const ObjectId oid = 1 + rng.NextUint64(20);
-    const Point p{rng.NextDouble(), rng.NextDouble()};
+    const Point p{Draw(&rng, 0.0, 1.0), Draw(&rng, 0.0, 1.0)};
+    const bool finite = IsFinite(p);
     switch (rng.NextUint64(10)) {
       case 0:
         (void)server.AttachClient(cid);
@@ -118,14 +174,24 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
         (void)server.ReconnectClient(cid);
         break;
       case 3:
-        (void)server.ReportObject(oid, p, now + rng.NextDouble(0.0, 1.0));
+        ExpectVerdict(finite,
+                      server.ReportObject(oid, p,
+                                          now + rng.NextDouble(0.0, 1.0)),
+                      step);
         break;
-      case 4:
-        (void)server.RegisterRangeQuery(qid, cid,
-                                        Rect::CenteredSquare(p, 0.2));
+      case 4: {
+        const Status st =
+            server.RegisterRangeQuery(qid, cid, Rect::CenteredSquare(p, 0.2));
+        // An unattached client fails first, with FailedPrecondition.
+        if (st.code() != StatusCode::kFailedPrecondition) {
+          ExpectVerdict(finite, st, step);
+        }
         break;
+      }
       case 5:
-        (void)server.MoveRangeQuery(qid, Rect::CenteredSquare(p, 0.2));
+        ExpectVerdict(finite,
+                      server.MoveRangeQuery(qid, Rect::CenteredSquare(p, 0.2)),
+                      step);
         break;
       case 6:
         (void)server.CommitQuery(qid);
@@ -133,9 +199,13 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
       case 7:
         (void)server.UnregisterQuery(qid);
         break;
-      case 8:
-        (void)server.RegisterCircleQuery(qid, cid, p, 0.1);
+      case 8: {
+        const Status st = server.RegisterCircleQuery(qid, cid, p, 0.1);
+        if (st.code() != StatusCode::kFailedPrecondition) {
+          ExpectVerdict(finite, st, step);
+        }
         break;
+      }
       case 9: {
         now += rng.NextDouble(0.1, 2.0);
         server.Tick(now);
@@ -148,8 +218,57 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
   EXPECT_TRUE(server.processor().CheckInvariants().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ApiFuzz,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndShards, ApiFuzz,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
+                       ::testing::Values(1, 4)));
+
+// Regression: a NaN report timestamp used to be accepted, and since every
+// comparison with NaN is false it then turned off the stale-report check
+// for that object. A NaN location reached the shard router's cell
+// arithmetic. Both engines now reject every non-finite input up front.
+TEST(ApiBoundary, NonFiniteInputIsRejectedAndLeavesNoTrace) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    QueryProcessorOptions options;
+    options.num_shards = shards;
+    QueryProcessor qp(options);
+    ASSERT_TRUE(qp.UpsertObject(1, Point{0.5, 0.5}, 1.0).ok());
+    EXPECT_TRUE(qp.UpsertObject(1, Point{0.5, 0.5}, kNaN).IsInvalidArgument());
+    EXPECT_TRUE(
+        qp.UpsertObject(1, Point{0.5, 0.5}, -100.0).IsInvalidArgument());
+    qp.EvaluateTick(2.0);
+    EXPECT_TRUE(qp.UpsertObject(1, Point{0.5, 0.5}, kNaN).IsInvalidArgument());
+    EXPECT_TRUE(
+        qp.UpsertObject(1, Point{0.5, 0.5}, -100.0).IsInvalidArgument());
+    EXPECT_TRUE(qp.UpsertObject(2, Point{kNaN, 0.5}, 2.0).IsInvalidArgument());
+    EXPECT_TRUE(qp.UpsertObject(2, Point{0.5, kInf}, 2.0).IsInvalidArgument());
+    EXPECT_TRUE(qp.UpsertPredictiveObject(2, Point{0.5, 0.5},
+                                          Velocity{-kInf, 0.0}, 2.0)
+                    .IsInvalidArgument());
+    EXPECT_TRUE(qp.RegisterRangeQuery(10, Rect{0.0, 0.0, kNaN, 1.0})
+                    .IsInvalidArgument());
+    EXPECT_TRUE(qp.RegisterRangeQuery(10, Rect{-kInf, -kInf, kInf, kInf})
+                    .IsInvalidArgument());
+    EXPECT_TRUE(
+        qp.RegisterCircleQuery(11, Point{0.5, 0.5}, kNaN).IsInvalidArgument());
+    EXPECT_TRUE(
+        qp.RegisterKnnQuery(12, Point{kNaN, 0.5}, 3).IsInvalidArgument());
+    EXPECT_TRUE(qp.RegisterPredictiveQuery(13, Rect{0.0, 0.0, 1.0, 1.0}, 0.0,
+                                           kInf)
+                    .IsInvalidArgument());
+    ASSERT_TRUE(qp.RegisterRangeQuery(10, Rect{0.0, 0.0, 1.0, 1.0}).ok());
+    qp.EvaluateTick(3.0);
+    EXPECT_TRUE(qp.MoveRangeQuery(10, Rect{kNaN, 0.0, 1.0, 1.0})
+                    .IsInvalidArgument());
+    // Only the one valid report was taken: object 1 at its first place.
+    const Result<std::vector<ObjectId>> answer = qp.CurrentAnswer(10);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(*answer, std::vector<ObjectId>{1});
+    EXPECT_EQ(qp.num_objects(), 1u);
+    EXPECT_TRUE(qp.CheckInvariants().ok());
+  }
+}
 
 }  // namespace
 }  // namespace stq
