@@ -227,7 +227,7 @@ std::vector<ObjectId> SnapshotProcessor::EvaluateOne(
       for (ObjectId oid : candidates) {
         const ObjectRecord* o = objects_.Find(oid);
         STQ_DCHECK(o != nullptr);
-        if (CircleEvaluator::Satisfies(*o, q, options_.bounds)) {
+        if (CircleEvaluator::Satisfies(*o, q)) {
           answer.push_back(oid);
         }
       }

@@ -118,6 +118,15 @@ class FlatTable {
     if (cap > capacity_) Rehash(cap);
   }
 
+  // Gives memory back once erasures leave the table under 1/16 full, by
+  // rehashing to the smallest capacity that holds the live entries. The
+  // gap to the 3/4 growth load keeps a table from thrashing.
+  void ShrinkIfSparse() {
+    if (capacity_ > kMinCapacity && size_ * 16 < capacity_) {
+      Rehash(NormalizeCapacity(size_));
+    }
+  }
+
   // Index of the slot holding `key`, or npos.
   size_t FindSlot(uint64_t key) const {
     if (capacity_ == 0) return npos;
@@ -350,6 +359,8 @@ class FlatMap {
   size_t capacity() const { return table_.capacity(); }
   void clear() { table_.clear(); }
   void reserve(size_t n) { table_.reserve(n); }
+  // Invalidates all iterators when it rehashes.
+  void shrink_if_sparse() { table_.ShrinkIfSparse(); }
 
   iterator begin() { return iterator(&table_, 0); }
   iterator end() { return iterator(&table_, table_.capacity()); }

@@ -17,7 +17,7 @@ void CircleEvaluator::OnCircleMoved(QueryRecord* q, std::vector<Update>* out) {
   for (ObjectId oid : q->answer) {
     const ObjectRecord* o = state_.objects->Find(oid);
     STQ_DCHECK(o != nullptr);
-    if (!Satisfies(*o, *q, state_.options->bounds)) leavers.push_back(oid);
+    if (!Satisfies(*o, *q)) leavers.push_back(oid);
   }
   for (ObjectId oid : leavers) {
     SetMembership(state_.objects->FindMutable(oid), q, false, out);
@@ -26,8 +26,8 @@ void CircleEvaluator::OnCircleMoved(QueryRecord* q, std::vector<Update>* out) {
   // Positives: scan the new bounding box. SetMembership suppresses
   // re-reports of objects already in the answer.
   if (state_.options->batch_evaluation) {
-    // Batch path: one gather, then the disk and bounds predicates as two
-    // kernels whose bitmaps AND word-wise — exactly Satisfies() per lane.
+    // Batch path: one gather, then the disk kernel — exactly Satisfies()
+    // per lane.
     CandidateBatch& b = batch_scratch_;
     b.clear();
     state_.grid->ForEachObjectCandidate(
@@ -38,15 +38,10 @@ void CircleEvaluator::OnCircleMoved(QueryRecord* q, std::vector<Update>* out) {
         });
     const size_t n = b.size();
     if (n == 0) return;
-    const size_t words = MatchBitmapWords(n);
-    b.bits.resize(words);
-    b.bits2.resize(words);
+    b.bits.resize(MatchBitmapWords(n));
     MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n, q->circle.center,
                                  q->circle.radius * q->circle.radius,
                                  b.bits.data());
-    MatchKernels::PointsInRect(b.x.data(), b.y.data(), n,
-                               state_.options->bounds, b.bits2.data());
-    for (size_t w = 0; w < words; ++w) b.bits[w] &= b.bits2[w];
     EmitBatchPositives(b, state_.objects, q, out);
     return;
   }
@@ -54,7 +49,7 @@ void CircleEvaluator::OnCircleMoved(QueryRecord* q, std::vector<Update>* out) {
       q->circle.BoundingBox(), [&](ObjectId oid) {
         ObjectRecord* o = state_.objects->FindMutable(oid);
         STQ_DCHECK(o != nullptr);
-        if (Satisfies(*o, *q, state_.options->bounds)) {
+        if (Satisfies(*o, *q)) {
           SetMembership(o, q, true, out);
         }
       });

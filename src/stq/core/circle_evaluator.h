@@ -20,17 +20,10 @@ class CircleEvaluator {
  public:
   explicit CircleEvaluator(EngineState state) : state_(state) {}
 
-  // Exact membership predicate (closed disk), clamped to the engine's
-  // bounds. The bounds clause is a no-op on a single-grid engine (every
-  // location is clamped into the space), but on a per-shard engine it
-  // keeps the disk — which is deliberately NOT clipped to the shard, so
-  // the exact distance predicate stays globally consistent — from
-  // claiming replicated objects whose current location lies outside the
-  // shard: those are the responsibility of the shard that owns the
-  // location, and this shard's grid cannot see them incrementally.
-  static bool Satisfies(const ObjectRecord& o, const QueryRecord& q,
-                        const Rect& bounds) {
-    return q.circle.Contains(o.loc) && bounds.Contains(o.loc);
+  // Exact membership predicate (closed disk). Every stored location is
+  // clamped into the space, so the disk needs no bounds clause.
+  static bool Satisfies(const ObjectRecord& o, const QueryRecord& q) {
+    return q.circle.Contains(o.loc);
   }
 
   // The disk's grid footprint: its bounding box clamped to the space.

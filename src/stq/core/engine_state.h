@@ -52,9 +52,8 @@ struct CandidateBatch {
   std::vector<double> x, y, t;
   std::vector<double> vx, vy;  // gathered only for the trajectory kernel
 
-  // Match bitmaps; `bits2` holds the second predicate of two-test kinds
-  // (circle range = disk AND bounds) before the word-wise AND.
-  std::vector<uint64_t> bits, bits2;
+  // Match bitmap: bit i is set when candidate i satisfies the predicate.
+  std::vector<uint64_t> bits;
 
   size_t size() const { return ids.size(); }
 

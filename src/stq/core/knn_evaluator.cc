@@ -9,13 +9,18 @@
 
 namespace stq {
 
-std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
-                                                         int k) const {
+std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(
+    const Point& center, int k, const Rect* within) const {
   std::vector<Neighbor> result;
   if (k <= 0 || state_.objects->empty()) return result;
 
   const GridIndex& grid = *state_.grid;
   const size_t want = static_cast<size_t>(k);
+  CellCoord lo{0, 0};
+  CellCoord hi{grid.cells_x() - 1, grid.cells_y() - 1};
+  if (within != nullptr && !grid.CellRangeOf(*within, &lo, &hi)) {
+    return result;
+  }
 
   // Max-heap of the k best candidates found so far (top = worst kept).
   std::priority_queue<Neighbor> best;
@@ -26,13 +31,16 @@ std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
 
   const CellCoord cc = grid.CellOf(center);
   const Rect& bounds = grid.bounds();
+  // The ring reaching the farthest corner of the searched range.
+  const int last_ring = std::max({cc.x - lo.x, hi.x - cc.x, cc.y - lo.y,
+                                  hi.y - cc.y});
 
   auto worst_dist2 = [&]() {
     return best.size() == want ? best.top().dist2
                                : std::numeric_limits<double>::infinity();
   };
 
-  for (int ring = 0;; ++ring) {
+  for (int ring = 0; ring <= last_ring; ++ring) {
     // Lower bound on the distance to anything not yet scanned: the
     // distance from `center` to the boundary of the block of cells with
     // Chebyshev ring index <= ring-1 (i.e., everything fully scanned).
@@ -51,8 +59,8 @@ std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
       if (lb >= 0.0 && lb * lb > worst_dist2()) break;
     }
 
-    const bool any_in_bounds = grid.ForEachCellInRing(
-        cc, ring, [&](const CellCoord& c) {
+    grid.ForEachCellInRing(
+        cc, ring, lo, hi, [&](const CellCoord& c) {
           // Prune cells that cannot beat the current k-th distance.
           const double cell_dist = grid.CellBounds(c).DistanceTo(center);
           if (best.size() == want && cell_dist * cell_dist > worst_dist2()) {
@@ -71,7 +79,6 @@ std::vector<KnnEvaluator::Neighbor> KnnEvaluator::Search(const Point& center,
             }
           });
         });
-    if (!any_in_bounds && ring > 0) break;  // grid exhausted
   }
 
   result.reserve(best.size());

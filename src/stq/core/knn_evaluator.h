@@ -34,6 +34,9 @@ class KnnEvaluator {
   // Exact k-NN search over the grid: the k objects nearest to `center`,
   // ties broken by object id, returned sorted by (distance^2, id).
   // Exposed for tests and for the processor's from-scratch evaluation.
+  // With `within`, only the cells overlapping it are searched: a shard
+  // engine's grid spans the whole universe, but its sampled objects all
+  // sit in its own slab, so the ring walk is bounded by the slab.
   struct Neighbor {
     double dist2 = 0.0;
     ObjectId id = 0;
@@ -43,7 +46,8 @@ class KnnEvaluator {
       return a.id < b.id;
     }
   };
-  std::vector<Neighbor> Search(const Point& center, int k) const;
+  std::vector<Neighbor> Search(const Point& center, int k,
+                               const Rect* within = nullptr) const;
 
   // Re-evaluates every dirty query that still exists: recomputes the k
   // nearest objects, emits the answer delta, updates the circle and

@@ -53,12 +53,7 @@ QueryProcessor::QueryProcessor(const QueryProcessorOptions& options)
                 : nullptr),
       grid_(std::make_unique<GridIndex>(
           options_.bounds,
-          options.num_shards > 1 ? 1
-          : options_.grid_cells_x > 0 ? options_.grid_cells_x
-                                      : options_.grid_cells_per_side,
-          options.num_shards > 1 ? 1
-          : options_.grid_cells_y > 0 ? options_.grid_cells_y
-                                      : options_.grid_cells_per_side)),
+          options.num_shards > 1 ? 1 : options_.grid_cells_per_side)),
       range_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
       knn_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
       predictive_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
@@ -100,12 +95,7 @@ double QueryProcessor::LatestKnownReportTime(ObjectId id) const {
 }
 
 Point QueryProcessor::ClampLocation(const Point& loc) const {
-  // A per-shard engine owns a sub-rect of the universe but must store
-  // exact universe-clamped positions (location_clamp_bounds); everyone
-  // else clamps into their own bounds.
-  const Rect& b = options_.location_clamp_bounds.IsEmpty()
-                      ? options_.bounds
-                      : options_.location_clamp_bounds;
+  const Rect& b = options_.bounds;
   return Point{std::clamp(loc.x, b.min_x, b.max_x),
                std::clamp(loc.y, b.min_y, b.max_y)};
 }
@@ -648,7 +638,7 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
           }
           break;
         case QueryKind::kCircleRange:
-          if (!CircleEvaluator::Satisfies(*o, *q, options_.bounds)) {
+          if (!CircleEvaluator::Satisfies(*o, *q)) {
             out->deltas.push_back(MatchDelta{qid, oid, false});
           }
           break;
@@ -688,7 +678,7 @@ void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
           }
           break;
         case QueryKind::kCircleRange:
-          if (CircleEvaluator::Satisfies(*o, *q, options_.bounds)) {
+          if (CircleEvaluator::Satisfies(*o, *q)) {
             out->deltas.push_back(MatchDelta{qid, oid, true});
           }
           break;
@@ -736,7 +726,6 @@ void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
     }
     const size_t words = MatchBitmapWords(n);
     b.bits.resize(words);
-    b.bits2.resize(words);
     // All group members share one grid slot; its stub list (unique qids)
     // is the exact candidate set the degenerate point-rect walk produces
     // for each of them.
@@ -762,9 +751,6 @@ void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
                                        q->circle.center,
                                        q->circle.radius * q->circle.radius,
                                        b.bits.data());
-          MatchKernels::PointsInRect(b.x.data(), b.y.data(), n,
-                                     options_.bounds, b.bits2.data());
-          for (size_t w = 0; w < words; ++w) b.bits[w] &= b.bits2[w];
           break;
         case QueryKind::kKnn: {
           MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n,
@@ -1005,7 +991,7 @@ Result<std::vector<ObjectId>> QueryProcessor::EvaluateFromScratch(
       break;
     case QueryKind::kCircleRange:
       objects_.ForEach([&](const ObjectRecord& o) {
-        if (CircleEvaluator::Satisfies(o, *q, options_.bounds)) {
+        if (CircleEvaluator::Satisfies(o, *q)) {
           answer.push_back(o.id);
         }
       });
@@ -1118,10 +1104,10 @@ size_t QueryProcessor::AnswerBytesResident() const {
 }
 
 std::vector<KnnEvaluator::Neighbor> QueryProcessor::SearchKnn(
-    const Point& center, int k) const {
+    const Point& center, int k, const Rect* within) const {
   if (sharded_ != nullptr) return sharded_->SearchKnn(center, k);
   if (k < 1) return {};
-  return knn_.Search(center, k);
+  return knn_.Search(center, k, within);
 }
 
 void QueryProcessor::ForEachObjectInfo(

@@ -190,9 +190,11 @@ class QueryProcessor {
   size_t AnswerBytesResident() const;
 
   // Exact k nearest neighbours of `center` over the current object
-  // population, sorted by (distance^2, id). Empty when k < 1.
-  std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
-                                                int k) const;
+  // population, sorted by (distance^2, id). Empty when k < 1. `within`
+  // restricts the grid walk to the cells overlapping it (a shard passes
+  // its slab; see KnnEvaluator::Search); the sharded facade ignores it.
+  std::vector<KnnEvaluator::Neighbor> SearchKnn(
+      const Point& center, int k, const Rect* within = nullptr) const;
 
   // Recomputes the answer of `id` from first principles, bypassing all
   // incremental state (linear scan / brute-force k-NN). Ground truth for

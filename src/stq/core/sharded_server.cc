@@ -123,10 +123,10 @@ void MergeCanonicalTails(const std::vector<Update>& a,
 
 // One buffered operation for a shard, recorded during the serial route
 // phase and applied at the start of the shard's parallel tick task.
-// Per-shard op order reproduces the old serial dispatch order exactly
-// (removals, then upserts interleaved with their re-route removals, then
-// query changes), so each shard's ingestion buffer coalesces — and its
-// tick behaves — identically to the serial-route engine.
+// Per-shard op order is removals, then upserts interleaved with their
+// re-route removals, then query changes, then a rebalance's handoffs.
+// Each id gets at most one coalesced op sequence, and shard ingestion
+// sorts by id, so the shard's tick does not depend on this order.
 struct ShardOp {
   enum class Kind : uint8_t {
     kRemoveObject,
@@ -196,6 +196,10 @@ struct ShardedEngine::TickScratch {
   std::vector<double> shard_walls;  // indexed by position in `ticked`
   ShardList route_ns;  // routing fan-out of the report being dispatched
   std::vector<QueryId> knn_dirty_ids;
+  // Entities a rebalance this tick re-homes without a pending op of their
+  // own, ascending: listed by MaybeRebalance, routed by RouteHandoffs.
+  std::vector<ObjectId> handoff_objects;
+  std::vector<QueryId> handoff_queries;
 };
 
 ShardedEngine::~ShardedEngine() = default;
@@ -212,51 +216,23 @@ ShardedEngine::ShardedEngine(const QueryProcessorOptions& options)
   STQ_CHECK(options_.Validate()) << "invalid QueryProcessorOptions";
   STQ_CHECK(options_.num_shards >= 2)
       << "ShardedEngine requires num_shards >= 2";
+  // Every shard engine spans the whole universe at the global cell count:
+  // the single grid's cell geometry, populated only by the shard's own
+  // objects. A shard's answers then depend only on which objects and
+  // queries it holds, never on where the cuts lie, so a rebalance moves
+  // entities between shards without touching any grid geometry, and
+  // refined cells survive it.
+  QueryProcessorOptions so = options_;
+  so.record_history = false;  // history lives at the router
+  so.worker_threads = 1;      // shards tick in parallel, each serially
+  so.num_shards = 1;
+  // Per-shard grids adapt independently; boundary moves are the engine's
+  // job, so the shard-level flag is inert inside a shard.
+  so.adaptive.rebalance = false;
   for (int s = 0; s < map_.num_shards(); ++s) {
-    shards_.push_back(std::make_unique<QueryProcessor>(BuildShardOptions(s)));
+    shards_.push_back(std::make_unique<QueryProcessor>(so));
   }
   scratch_ = std::make_unique<TickScratch>();
-}
-
-QueryProcessorOptions ShardedEngine::BuildShardOptions(int s) const {
-  QueryProcessorOptions so;
-  so.bounds = map_.shard_rect(s);
-  if (x_cell_cuts_.empty()) {
-    // Uniform map. Keep the global grid CELL GEOMETRY constant: a shard
-    // covers 1/sx x 1/sy of the universe, so it gets the matching
-    // 1/sx x 1/sy slice of the cell array — the same cell width and
-    // height as the single grid. (The old rule divided one square
-    // per-shard resolution by max(sx, sy); on non-square layouts that
-    // made per-shard cells up to max/min times larger in area, inflating
-    // per-cell candidate density — and total matching work — precisely
-    // as shards were added.)
-    so.grid_cells_x =
-        std::max(1, (options_.grid_cells_per_side + map_.sx() - 1) / map_.sx());
-    so.grid_cells_y =
-        std::max(1, (options_.grid_cells_per_side + map_.sy() - 1) / map_.sy());
-  } else {
-    // Rebalanced map: slab boundaries sit on global-grid cell edges, so
-    // each shard takes exactly the global cell columns/rows its slab
-    // spans — cell geometry again matches the single grid.
-    const int ix = s % map_.sx();
-    const int iy = s / map_.sx();
-    so.grid_cells_x = std::max(1, x_cell_cuts_[ix + 1] - x_cell_cuts_[ix]);
-    so.grid_cells_y = std::max(1, y_cell_cuts_[iy + 1] - y_cell_cuts_[iy]);
-  }
-  so.prediction_horizon = options_.prediction_horizon;
-  so.record_history = false;  // history lives at the router
-  so.wire_cost = options_.wire_cost;
-  so.worker_threads = 1;  // shards tick in parallel, each serially
-  so.num_shards = 1;
-  so.batch_evaluation = options_.batch_evaluation;
-  // Per-shard grids adapt independently; boundary moves are the
-  // engine's job, so the shard-level flag is inert inside a shard.
-  so.adaptive = options_.adaptive;
-  so.adaptive.rebalance = false;
-  // Replica positions must stay exact: clamp to the universe, never to
-  // the shard's sub-rect.
-  so.location_clamp_bounds = options_.bounds;
-  return so;
 }
 
 namespace {
@@ -297,10 +273,8 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   if (objects_.size() < opt.rebalance_min_objects) return;
   const int sx = map_.sx();
   const int sy = map_.sy();
-  const int nx = options_.grid_cells_x > 0 ? options_.grid_cells_x
-                                           : options_.grid_cells_per_side;
-  const int ny = options_.grid_cells_y > 0 ? options_.grid_cells_y
-                                           : options_.grid_cells_per_side;
+  const int nx = options_.grid_cells_per_side;
+  const int ny = options_.grid_cells_per_side;
   const Rect& uni = map_.universe();
   const double width = uni.Width();
   const double height = uni.Height();
@@ -359,107 +333,37 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   std::vector<double> y_edges = edges_of(cuts_y, uni.min_y, uni.max_y, cell_h,
                                          ny);
 
-  // --- Commit the new map and hand the routed state off ---------------------
+  // --- Install the map and list the handoffs -------------------------------
   map_.SetBoundaries(x_edges, y_edges);
   x_cell_cuts_ = std::move(cuts_x);
   y_cell_cuts_ = std::move(cuts_y);
 
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s] = std::make_unique<QueryProcessor>(
-        BuildShardOptions(static_cast<int>(s)));
-  }
-
-  // Re-route and re-ingest every object, ascending id so per-shard
-  // ingestion order is canonical.
-  std::vector<ObjectId> oids;
-  oids.reserve(objects_.size());
-  for (const auto& [oid, ro] : objects_) oids.push_back(oid);
-  std::sort(oids.begin(), oids.end());
+  // An entity with a pending op this tick routes against the new map
+  // through the ordinary route paths, since its ro.shards / rq.shards
+  // still hold the old set. Every other entity whose route set changed is
+  // handed off by RouteHandoffs in this same tick. k-NN state is
+  // router-owned and untouched by partitioning.
+  TickScratch& scratch = *scratch_;
+  ShardList& ns = scratch.route_ns;
   size_t moved_objects = 0;
-  for (ObjectId oid : oids) {
-    RoutedObject& ro = *objects_.FindPtr(oid);
-    PendingObjectUpsert u;
-    u.id = oid;
-    u.loc = ro.loc;
-    u.vel = ro.vel;
-    u.t = ro.t;
-    u.predictive = ro.predictive;
-    ShardList old_shards = ro.shards;
-    RouteShardsOfObject(u, &ro.shards);
-    if (!(ro.shards == old_shards)) ++moved_objects;
-    for (int s : ro.shards) {
-      const Status st =
-          ro.predictive
-              ? shards_[s]->UpsertPredictiveObject(oid, ro.loc, ro.vel, ro.t)
-              : shards_[s]->UpsertObject(oid, ro.loc, ro.t);
-      STQ_CHECK(st.ok()) << "rebalance re-ingest of object " << oid
-                         << " failed: " << st.ToString();
+  for (const auto& [oid, ro] : objects_) {
+    RouteShardsOfObject(CommittedReport(oid, ro), &ns);
+    if (ns == ro.shards) continue;
+    ++moved_objects;
+    if (!buffer_.HasPendingUpsert(oid) && !buffer_.HasPendingRemove(oid)) {
+      scratch.handoff_objects.push_back(oid);
     }
   }
-
-  // Re-route and re-register every non-k-NN query (k-NN state is
-  // router-owned and untouched by partitioning).
-  std::vector<QueryId> qids;
-  qids.reserve(queries_.size());
-  for (const auto& [qid, rq] : queries_) qids.push_back(qid);
-  std::sort(qids.begin(), qids.end());
-  for (QueryId qid : qids) {
-    RoutedQuery& rq = *queries_.FindPtr(qid);
-    if (rq.kind == QueryKind::kKnn) continue;
-    RouteShardsOf(rq, &rq.shards);
-    for (int s : rq.shards) {
-      Status st;
-      switch (rq.kind) {
-        case QueryKind::kRange:
-          st = shards_[s]->RegisterRangeQuery(qid, rq.region);
-          break;
-        case QueryKind::kPredictiveRange:
-          st = shards_[s]->RegisterPredictiveQuery(qid, rq.region, rq.t_from,
-                                                   rq.t_to);
-          break;
-        case QueryKind::kCircleRange:
-          st = shards_[s]->RegisterCircleQuery(qid, rq.circle.center,
-                                               rq.circle.radius);
-          break;
-        case QueryKind::kKnn:
-          break;
-      }
-      STQ_CHECK(st.ok()) << "rebalance re-register of query " << qid
-                         << " failed: " << st.ToString();
+  for (const auto& [qid, rq] : queries_) {
+    if (rq.kind == QueryKind::kKnn ||
+        buffer_.FindPendingQueryChange(qid) != nullptr) {
+      continue;
     }
+    RouteShardsOf(rq, &ns);
+    if (!(ns == rq.shards)) scratch.handoff_queries.push_back(qid);
   }
-
-  // Priming tick at the previous tick time: commits the re-ingested
-  // state inside every shard, reproducing each shard's answer store as
-  // of the last committed tick. The stream it produces is the handoff's
-  // internal bookkeeping, never surfaced.
-  TickResult discard;
-  for (const std::unique_ptr<QueryProcessor>& shard : shards_) {
-    shard->EvaluateTickInto(last_tick_time_, &discard);
-  }
-
-  // Rebuild every query's shard refcounts from the new shard answers, and
-  // check the handoff invariant: membership is decided by exact geometry,
-  // so the committed answer KEYSET of every query must be unchanged — only
-  // multiplicities may differ.
-  for (QueryId qid : qids) {
-    RoutedQuery& rq = *queries_.FindPtr(qid);
-    if (rq.kind == QueryKind::kKnn) continue;
-    FlatMap<ObjectId, int> counts;
-    for (int s : rq.shards) {
-      const QueryRecord* rec = shards_[s]->query_store().Find(qid);
-      STQ_CHECK(rec != nullptr)
-          << "shard " << s << " lost query " << qid << " across rebalance";
-      for (ObjectId oid : rec->answer) ++counts[oid];
-    }
-    for (const auto& [oid, c] : rq.counts) {
-      STQ_CHECK(counts.contains(oid))
-          << "rebalance dropped object " << oid << " from query " << qid;
-    }
-    STQ_CHECK(counts.size() == rq.counts.size())
-        << "rebalance changed the answer keyset of query " << qid;
-    rq.counts = std::move(counts);
-  }
+  std::sort(scratch.handoff_objects.begin(), scratch.handoff_objects.end());
+  std::sort(scratch.handoff_queries.begin(), scratch.handoff_queries.end());
 
   ShardRebalanceEvent event;
   event.tick_index = tick_index_;
@@ -776,12 +680,13 @@ void ShardedEngine::RouteShardsOf(const RoutedQuery& rq,
       break;
     case QueryKind::kCircleRange: {
       // Seam-band tightening: the bounding box overlaps corner shards
-      // the disk itself never reaches. CircleEvaluator only matches a
-      // point inside both the closed disk and the shard bounds, so a
-      // shard whose rect lies farther than the radius can never emit for
-      // this query. RectDistance2 under-approximates the distance to
-      // every in-shard point monotonically under FP rounding, so the
-      // filter is exact at the boundary (same closed <= as the disk).
+      // the disk itself never reaches. The filter only saves work: every
+      // object whose home shard it drops lies farther than the radius
+      // (RectDistance2 under-approximates the distance to every in-shard
+      // point monotonically under FP rounding, the same closed <= as the
+      // disk), so that shard's registration would match nothing the home
+      // shard of a member does not already report, and the refcounts
+      // would absorb the duplicate anyway.
       map_.ShardsOverlapping(ClampRegion(rq.circle.BoundingBox()), out);
       const double r2 = rq.circle.radius * rq.circle.radius;
       size_t w = 0;
@@ -807,12 +712,13 @@ void ShardedEngine::RouteShardsOfObject(const PendingObjectUpsert& u,
   }
   // Seam-band tightening: replicate along the exact trajectory segment,
   // not its bounding box — a diagonal mover's bbox drags in corner
-  // shards the segment never enters. Every evaluator a replica can feed
-  // clamps its geometry to the shard rect (ranges/circles test the
-  // stored location, predictive queries clip the footprint against the
-  // shard-clamped region), so a shard the closed segment misses can
-  // never emit an update for this object. `u.loc` is a segment endpoint,
-  // so the home shard always survives the filter.
+  // shards the segment never enters. The filter only saves work: a
+  // range or circle query tests the stored location, which its home
+  // shard sees, and a predictive query matching the trajectory meets it
+  // at a point of the segment, which the shard holding that point sees;
+  // a shard the closed segment misses holds no extra candidate, and the
+  // refcounts absorb any duplicate. `u.loc` is a segment endpoint, so
+  // the home shard always survives the filter.
   const Segment footprint = Trajectory{u.loc, u.vel, u.t}.FootprintBetween(
       u.t, u.t + options_.prediction_horizon);
   map_.ShardsOverlapping(footprint.BoundingBox(), out);
@@ -824,6 +730,115 @@ void ShardedEngine::RouteShardsOfObject(const PendingObjectUpsert& u,
   }
   out->resize(w);
   STQ_DCHECK(!out->empty()) << "predictive object routed to no shard";
+}
+
+PendingObjectUpsert ShardedEngine::CommittedReport(ObjectId id,
+                                                  const RoutedObject& ro) {
+  return PendingObjectUpsert{id, ro.loc, ro.vel, ro.t, ro.predictive};
+}
+
+void ShardedEngine::RouteObject(const PendingObjectUpsert& u,
+                                RoutedObject* ro, bool resend_kept) {
+  TickScratch& scratch = *scratch_;
+  ShardList& ns = scratch.route_ns;
+  RouteShardsOfObject(u, &ns);
+  auto push = [&](int s, ShardOp::Kind kind) {
+    ShardOp op;
+    op.kind = kind;
+    op.predictive = u.predictive;
+    op.id = u.id;
+    op.loc = u.loc;
+    op.vel = u.vel;
+    op.t = u.t;
+    scratch.ops[s].push_back(op);
+    scratch.touched[s] = 1;
+  };
+  for (int s : ns) {
+    const bool kept =
+        std::binary_search(ro->shards.begin(), ro->shards.end(), s);
+    if (kept && !resend_kept) continue;
+    // A report older than the stored one passes the stale check only
+    // after a removal of the object this tick, which the buffer folded
+    // into the report. The shard still stores the newer record, so it
+    // gets the removal too and folds it the same way.
+    if (kept && u.t < ro->t) push(s, ShardOp::Kind::kRemoveObject);
+    push(s, ShardOp::Kind::kUpsert);
+  }
+  // Departed shards: the object hands off; the shard ships its own
+  // phase-1 negatives for every answer it participated in there.
+  for (int s : ro->shards) {
+    if (std::binary_search(ns.begin(), ns.end(), s)) continue;
+    push(s, ShardOp::Kind::kRemoveObject);
+    scratch.removed_from[s].insert(u.id);
+  }
+  ro->shards = ns;
+}
+
+void ShardedEngine::RouteQuery(QueryId id, RoutedQuery* rq, bool resend_kept) {
+  TickScratch& scratch = *scratch_;
+  ShardList& ns = scratch.route_ns;
+  RouteShardsOf(*rq, &ns);
+  for (int s : ns) {
+    const bool kept =
+        std::binary_search(rq->shards.begin(), rq->shards.end(), s);
+    if (kept && !resend_kept) continue;
+    ShardOp op;
+    op.id = id;
+    switch (rq->kind) {
+      case QueryKind::kRange:
+        op.kind = kept ? ShardOp::Kind::kMoveRange
+                       : ShardOp::Kind::kRegisterRange;
+        op.region = rq->region;
+        break;
+      case QueryKind::kPredictiveRange:
+        op.kind = kept ? ShardOp::Kind::kMovePredictive
+                       : ShardOp::Kind::kRegisterPredictive;
+        op.region = rq->region;
+        op.t_from = rq->t_from;
+        op.t_to = rq->t_to;
+        break;
+      case QueryKind::kCircleRange:
+        op.kind = kept ? ShardOp::Kind::kMoveCircle
+                       : ShardOp::Kind::kRegisterCircle;
+        op.loc = rq->circle.center;
+        op.radius = rq->circle.radius;
+        break;
+      case QueryKind::kKnn:
+        STQ_CHECK(false) << "unreachable: k-NN queries route to no shard";
+        break;
+    }
+    scratch.ops[s].push_back(op);
+    scratch.touched[s] = 1;
+  }
+  for (int s : rq->shards) {
+    if (std::binary_search(ns.begin(), ns.end(), s)) continue;
+    // Departing shard: capture its committed answer (it turns
+    // all-negative at the router), then unregister there.
+    ShardOp op;
+    op.id = id;
+    op.kind = ShardOp::Kind::kCapture;
+    scratch.ops[s].push_back(op);
+    op.kind = ShardOp::Kind::kUnregister;
+    scratch.ops[s].push_back(op);
+    scratch.touched[s] = 1;
+  }
+  rq->shards = ns;
+}
+
+void ShardedEngine::RouteHandoffs() {
+  // A handoff is an ordinary crossing of a seam: the departing shard gets
+  // a removal (its own phase-1 negatives) or a capture plus unregister,
+  // the arriving shard re-ingests the committed state (positives for
+  // what it matches there), and the refcount merge nets each -A/+A pair
+  // to nothing. Shards that keep the entity already hold it as is. No
+  // history record and no k-NN event: the entity did not move.
+  for (ObjectId id : scratch_->handoff_objects) {
+    RoutedObject& ro = *objects_.FindPtr(id);
+    RouteObject(CommittedReport(id, ro), &ro, /*resend_kept=*/false);
+  }
+  for (QueryId id : scratch_->handoff_queries) {
+    RouteQuery(id, queries_.FindPtr(id), /*resend_kept=*/false);
+  }
 }
 
 template <typename Fn>
@@ -882,20 +897,20 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
   TickStats* stats = &result->stats;
   std::vector<Update>* out = &result->updates;
 
-  // Adaptive shard rebalancing runs first, on fully committed state: the
-  // shard engines are quiescent between ticks (their report buffers were
-  // drained by the previous tick), and this tick's pending reports still
-  // sit in the router's buffer, untouched — they route against the new
-  // map below like any other batch. last_tick_time_ still holds the
-  // previous tick's time here; the handoff's priming tick re-commits the
-  // moved state at that time, so answers are reproduced exactly.
+  // Adaptive shard rebalancing decides first, on committed router state,
+  // before the pending batch is drained: it installs the new map and
+  // lists the entities to hand off. This tick's pending reports still
+  // sit in the router's buffer and route against the new map below like
+  // any other batch; the handoffs route after them.
+  TickScratch& scratch = *scratch_;
+  scratch.handoff_objects.clear();
+  scratch.handoff_queries.clear();
   if (options_.adaptive.enabled && options_.adaptive.rebalance) {
     PhaseTimer rebalance_timer(&stats->rebalance_seconds);
     MaybeRebalance(now, stats);
   }
   last_tick_time_ = now;
 
-  TickScratch& scratch = *scratch_;
   const size_t num_shards = shards_.size();
   std::vector<PendingObjectUpsert>& upserts = scratch.upserts;
   std::vector<ObjectId>& removals = scratch.removals;
@@ -976,69 +991,22 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     // --- Route upserts ----------------------------------------------------
     for (const PendingObjectUpsert& u : upserts) {
       if (history_ != nullptr) history_->RecordReport(u.id, u.loc, u.t);
-      ShardList& ns = scratch.route_ns;
-      RouteShardsOfObject(u, &ns);
-      auto record_upsert = [&](int s) {
-        ShardOp op;
-        op.kind = ShardOp::Kind::kUpsert;
-        op.predictive = u.predictive;
-        op.id = u.id;
-        op.loc = u.loc;
-        op.vel = u.vel;
-        op.t = u.t;
-        ops[s].push_back(op);
-        touched[s] = 1;
-      };
       KnnEvent e;
       e.new_loc = u.loc;
       e.has_new = true;
       auto it = objects_.find(u.id);
       if (it == objects_.end()) {
-        for (int s : ns) record_upsert(s);
-        RoutedObject ro;
-        ro.loc = u.loc;
-        ro.vel = u.predictive ? u.vel : Velocity{};
-        ro.t = u.t;
-        ro.predictive = u.predictive;
-        ro.shards = ns;
-        objects_.emplace(u.id, std::move(ro));
+        it = objects_.emplace(u.id, RoutedObject{}).first;
       } else {
-        RoutedObject& ro = it->second;
-        e.old_loc = ro.loc;
+        e.old_loc = it->second.loc;
         e.has_old = true;
-        for (int s : ns) {
-          // A report older than the stored one passes the stale check
-          // only after a removal of the object this tick, which the
-          // buffer folded into the report. The shard still stores the
-          // newer record, so it gets the removal too and folds it the
-          // same way.
-          if (u.t < ro.t &&
-              std::binary_search(ro.shards.begin(), ro.shards.end(), s)) {
-            ShardOp op;
-            op.kind = ShardOp::Kind::kRemoveObject;
-            op.id = u.id;
-            ops[s].push_back(op);
-          }
-          record_upsert(s);
-        }
-        // Departed shards: the object hands off; the shard ships its own
-        // phase-1 negatives for every answer it participated in there.
-        for (int s : ro.shards) {
-          if (!std::binary_search(ns.begin(), ns.end(), s)) {
-            ShardOp op;
-            op.kind = ShardOp::Kind::kRemoveObject;
-            op.id = u.id;
-            ops[s].push_back(op);
-            touched[s] = 1;
-            removed_from[s].insert(u.id);
-          }
-        }
-        ro.loc = u.loc;
-        ro.vel = u.predictive ? u.vel : Velocity{};
-        ro.t = u.t;
-        ro.predictive = u.predictive;
-        ro.shards = ns;
       }
+      RoutedObject& ro = it->second;
+      RouteObject(u, &ro, /*resend_kept=*/true);
+      ro.loc = u.loc;
+      ro.vel = u.predictive ? u.vel : Velocity{};
+      ro.t = u.t;
+      ro.predictive = u.predictive;
       events.push_back(e);
       ++stats->object_updates_applied;
     }
@@ -1100,55 +1068,7 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
           } else {
             rq.region = c.region;
           }
-          ShardList& ns = scratch.route_ns;
-          RouteShardsOf(rq, &ns);
-          for (int s : ns) {
-            touched[s] = 1;
-            const bool retained =
-                std::binary_search(rq.shards.begin(), rq.shards.end(), s);
-            ShardOp op;
-            op.id = c.id;
-            switch (rq.kind) {
-              case QueryKind::kRange:
-                op.kind = retained ? ShardOp::Kind::kMoveRange
-                                   : ShardOp::Kind::kRegisterRange;
-                op.region = rq.region;
-                break;
-              case QueryKind::kPredictiveRange:
-                op.kind = retained ? ShardOp::Kind::kMovePredictive
-                                   : ShardOp::Kind::kRegisterPredictive;
-                op.region = rq.region;
-                op.t_from = rq.t_from;
-                op.t_to = rq.t_to;
-                break;
-              case QueryKind::kCircleRange:
-                op.kind = retained ? ShardOp::Kind::kMoveCircle
-                                   : ShardOp::Kind::kRegisterCircle;
-                op.loc = c.center;
-                op.radius = rq.circle.radius;
-                break;
-              case QueryKind::kKnn:
-                STQ_CHECK(false) << "unreachable: k-NN moves never route";
-                break;
-            }
-            ops[s].push_back(op);
-          }
-          for (int s : rq.shards) {
-            if (!std::binary_search(ns.begin(), ns.end(), s)) {
-              // Departing shard: capture its committed answer (it turns
-              // all-negative at the router), then unregister there.
-              ShardOp cap;
-              cap.kind = ShardOp::Kind::kCapture;
-              cap.id = c.id;
-              ops[s].push_back(cap);
-              ShardOp unreg;
-              unreg.kind = ShardOp::Kind::kUnregister;
-              unreg.id = c.id;
-              ops[s].push_back(unreg);
-              touched[s] = 1;
-            }
-          }
-          rq.shards = ns;
+          RouteQuery(c.id, &rq, /*resend_kept=*/true);
           ++stats->query_changes_applied;
           break;
         }
@@ -1180,33 +1100,7 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
               STQ_CHECK(false) << "unreachable";
               break;
           }
-          RouteShardsOf(rq, &rq.shards);
-          for (int s : rq.shards) {
-            touched[s] = 1;
-            ShardOp op;
-            op.id = c.id;
-            switch (rq.kind) {
-              case QueryKind::kRange:
-                op.kind = ShardOp::Kind::kRegisterRange;
-                op.region = rq.region;
-                break;
-              case QueryKind::kPredictiveRange:
-                op.kind = ShardOp::Kind::kRegisterPredictive;
-                op.region = rq.region;
-                op.t_from = rq.t_from;
-                op.t_to = rq.t_to;
-                break;
-              case QueryKind::kCircleRange:
-                op.kind = ShardOp::Kind::kRegisterCircle;
-                op.loc = rq.circle.center;
-                op.radius = rq.circle.radius;
-                break;
-              case QueryKind::kKnn:
-                STQ_CHECK(false) << "unreachable: k-NN routes to no shard";
-                break;
-            }
-            ops[s].push_back(op);
-          }
+          RouteQuery(c.id, &rq, /*resend_kept=*/true);
           if (rq.kind == QueryKind::kKnn) knn_dirty_.insert(c.id);
           queries_.emplace(c.id, std::move(rq));
           ++stats->query_changes_applied;
@@ -1214,6 +1108,8 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
         }
       }
     }
+
+    RouteHandoffs();
   }
 
   // --- Parallel shard phase -------------------------------------------------
@@ -1279,9 +1175,8 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
             // shard tick — is exact: shard ingestion is buffered, so the
             // ops above cannot have changed the committed answer.
             // Objects this shard is removing this tick ship their own
-            // phase-1 negatives and are skipped. Captures run in
-            // ascending query order (the change order) and each answer
-            // iterates ascending, so they come out leaf-sorted.
+            // phase-1 negatives and are skipped. Each answer iterates
+            // ascending.
             const QueryRecord* rec = shard.query_store().Find(op.id);
             STQ_CHECK(rec != nullptr)
                 << "shard " << s << " lost query " << op.id;
@@ -1298,6 +1193,12 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
         }
         STQ_CHECK(st.ok()) << "shard " << s << " rejected buffered op for id "
                            << op.id << ": " << st.ToString();
+      }
+      // Captures come out ascending per run: the query changes', then a
+      // rebalance's handoffs, which interleave with them in id order.
+      std::vector<MergeEntry>& caps = captures[s];
+      if (!std::is_sorted(caps.begin(), caps.end(), MergeKeyLess)) {
+        std::sort(caps.begin(), caps.end(), MergeKeyLess);
       }
       shard.EvaluateTickInto(now, &shard_results[s]);
       // Built in a local for the same cache-line reason as the merge
@@ -1442,7 +1343,12 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
           dst.push_back(Update::Negative(q, sum.o));
         }
         if (after == 0) {
-          if (cit != counts.end()) counts.erase(cit);
+          if (cit != counts.end()) {
+            counts.erase(cit);
+            // An answer that drains (a hotspot moving on) gives its
+            // refcount slots back.
+            counts.shrink_if_sparse();
+          }
         } else if (cit == counts.end()) {
           counts.emplace(sum.o, after);
         } else {
@@ -1673,17 +1579,22 @@ std::vector<KnnEvaluator::Neighbor> ShardedEngine::SearchKnn(
     const Point& center, int k) const {
   std::vector<KnnEvaluator::Neighbor> merged;
   if (k < 1) return merged;
+  // Each shard's walk is clipped to its slab: its grid spans the universe,
+  // and every object it holds whose home it is sits in the slab. A
+  // replica from elsewhere its walk misses is found by its home shard.
   const int home = map_.HomeOf(center);
-  merged = shards_[home]->SearchKnn(center, k);
+  const Rect home_slab = map_.shard_rect(home);
+  merged = shards_[home]->SearchKnn(center, k, &home_slab);
   double r2 = merged.size() == static_cast<size_t>(k) ? merged.back().dist2
                                                       : kInf;
   for (int s = 0; s < map_.num_shards(); ++s) {
     if (s == home) continue;
     // Every object in shard s is at least RectDistance2 away; a shard
     // strictly beyond the current k-th distance cannot contribute.
-    if (RectDistance2(map_.shard_rect(s), center) > r2) continue;
+    const Rect slab = map_.shard_rect(s);
+    if (RectDistance2(slab, center) > r2) continue;
     const std::vector<KnnEvaluator::Neighbor> part =
-        shards_[s]->SearchKnn(center, k);
+        shards_[s]->SearchKnn(center, k, &slab);
     merged.insert(merged.end(), part.begin(), part.end());
     std::sort(merged.begin(), merged.end());
     // Predictive replicas appear in several shards with identical stored
@@ -1725,18 +1636,20 @@ void ShardedEngine::AuditCrossShard(
   };
 
   // The partition map itself: uniform or explicit boundaries, it must be
-  // structurally sound and every shard engine must cover exactly its
-  // slab (rebalances rebuild both together; this catches drift).
+  // structurally sound; and every shard engine must cover the whole
+  // universe at the global cell count, whatever the cuts (a rebalance
+  // moves entities, never grid geometry).
   if (const Status st = map_.Validate(); !st.ok()) {
     add("shard map invalid: " + st.ToString());
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const Rect want = map_.shard_rect(static_cast<int>(s));
-    const Rect& got = shards_[s]->options().bounds;
-    if (want.min_x != got.min_x || want.min_y != got.min_y ||
-        want.max_x != got.max_x || want.max_y != got.max_y) {
+    const GridIndex& grid = shards_[s]->grid();
+    if (!(grid.bounds() == options_.bounds) ||
+        grid.cells_x() != options_.grid_cells_per_side ||
+        grid.cells_y() != options_.grid_cells_per_side) {
       std::ostringstream os;
-      os << "shard " << s << " bounds disagree with the shard map";
+      os << "shard " << s
+         << " grid does not cover the universe at the global cell count";
       add(os.str());
     }
   }
@@ -1750,14 +1663,8 @@ void ShardedEngine::AuditCrossShard(
   for (ObjectId oid : oids) {
     if (full()) return;
     const RoutedObject& ro = *objects_.FindPtr(oid);
-    PendingObjectUpsert u;
-    u.id = oid;
-    u.loc = ro.loc;
-    u.vel = ro.vel;
-    u.t = ro.t;
-    u.predictive = ro.predictive;
     ShardList expected;
-    RouteShardsOfObject(u, &expected);
+    RouteShardsOfObject(CommittedReport(oid, ro), &expected);
     if (!(expected == ro.shards)) {
       std::ostringstream os;
       os << "object " << oid << " routed to " << ro.shards.size()

@@ -15,8 +15,10 @@
 //     box, which over-replicates diagonal movers into corner shards); a
 //     range/predictive query registers in every shard its (clamped)
 //     region overlaps, and a circle query only in shards its disk
-//     actually reaches — each shard engine further clamps the region to
-//     its own bounds;
+//     actually reaches. Every shard engine's grid spans the whole
+//     universe at the global cell count and holds only the shard's own
+//     objects, so a shard answers exactly over what it holds, whatever
+//     the cuts;
 //   * deduplicates the per-shard positive/negative update streams with a
 //     per-(query, object) reference count, held in each query's routing
 //     record: a global update is emitted only when the count transitions
@@ -39,7 +41,14 @@
 // containing the focal point) answers first, and the answer circle's
 // radius bounds an expanding-circle re-dispatch to every other shard
 // whose rect intersects the circle (the paper's k-NN-as-circle-range
-// trick, across shards). Per-shard engines therefore hold no k-NN state.
+// trick, across shards); each shard's ring walk is clipped to its slab.
+// Per-shard engines therefore hold no k-NN state.
+//
+// Adaptive rebalancing moves the cuts between shards at the top of a
+// tick and hands off, inside that same tick, only the objects and
+// queries whose shard set the move changes: a handoff is an ordinary
+// seam crossing (removal or capture in the old shard, upsert or
+// registration in the new one), run in the parallel shard phase.
 //
 // See DESIGN.md, "Sharded execution", for the determinism argument.
 //
@@ -191,6 +200,8 @@ class ShardedEngine {
   // Cross-shard invariants, appended to `violations` (up to
   // `max_violations` total). Used by InvariantAuditor on top of the
   // per-shard audits:
+  //   * the shard map is valid and every shard grid covers the universe
+  //     at the global cell count;
   //   * every non-k-NN query's answer (OList) union over its shards
   //     equals the router's committed answer, with per-shard multiplicity
   //     exactly matching the router's reference counts;
@@ -250,15 +261,31 @@ class ShardedEngine {
   template <typename Fn>
   void ForEachAnswerMember(QueryId id, const RoutedQuery& rq, Fn&& fn) const;
 
-  // The per-shard QueryProcessor options for shard `s` under the current
-  // ShardMap (uniform or post-rebalance explicit boundaries).
-  QueryProcessorOptions BuildShardOptions(int s) const;
+  struct TickScratch;
+
+  // The committed state of a routed object, as a report.
+  static PendingObjectUpsert CommittedReport(ObjectId id,
+                                             const RoutedObject& ro);
+  // Route-phase helpers. Each routes an entity to the shards its current
+  // geometry reaches, against the shards that hold it now (ro->shards /
+  // rq->shards, empty for a new entity), recording the shard ops in the
+  // tick scratch and installing the new shard set. A shard the entity
+  // arrives in gets an upsert or registration, a shard it departs a
+  // removal or an answer capture plus unregistration; a kept shard gets
+  // the upsert or move again only when `resend_kept` (a report or query
+  // change), not for a handoff, whose kept copies are already current.
+  void RouteObject(const PendingObjectUpsert& u, RoutedObject* ro,
+                   bool resend_kept);
+  void RouteQuery(QueryId id, RoutedQuery* rq, bool resend_kept);
+  // Routes the entities MaybeRebalance listed for handoff this tick.
+  void RouteHandoffs();
   // Adaptive shard rebalancing: when the committed home-shard load is
   // imbalanced past options_.adaptive.rebalance_imbalance, recompute
   // cell-aligned slab boundaries from the marginal load histograms,
-  // rebuild the shard engines and deterministically hand every routed
-  // entity off to its new owners. Runs at the top of the tick, before
-  // the pending report batch is drained, so shard engines are quiescent.
+  // install them, and list every object and non-k-NN query whose shard
+  // set changes and that has no pending op this tick; RouteHandoffs
+  // moves those in the same tick. Runs at the top of the tick, before
+  // the pending report batch is drained.
   void MaybeRebalance(Timestamp now, TickStats* stats);
 
   QueryProcessorOptions options_;
@@ -289,7 +316,6 @@ class ShardedEngine {
   // (see DESIGN.md, "Memory layout & allocation discipline"). The
   // MergeEntry/KnnEvent element types are private to the .cc, so the
   // buffers they need are declared there via this opaque holder.
-  struct TickScratch;
   std::unique_ptr<TickScratch> scratch_;
 };
 

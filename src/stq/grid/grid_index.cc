@@ -40,10 +40,10 @@ size_t CountUnique(const CellVisitor& visit) {
 
 }  // namespace
 
-GridIndex::GridIndex(const Rect& bounds, int cells_x, int cells_y)
-    : bounds_(bounds), nx_(cells_x), ny_(cells_y) {
+GridIndex::GridIndex(const Rect& bounds, int cells_per_side)
+    : bounds_(bounds), nx_(cells_per_side), ny_(cells_per_side) {
   STQ_CHECK(!bounds.IsEmpty()) << "grid bounds must be non-empty";
-  STQ_CHECK(cells_x >= 1 && cells_y >= 1) << "cell counts must be >= 1";
+  STQ_CHECK(cells_per_side >= 1) << "cell count must be >= 1";
   cell_w_ = bounds_.Width() / nx_;
   cell_h_ = bounds_.Height() / ny_;
   cells_.resize(static_cast<size_t>(nx_) * static_cast<size_t>(ny_));

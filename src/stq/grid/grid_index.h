@@ -84,15 +84,7 @@ class GridIndex {
 
   // `bounds` must be non-empty and `cells_per_side` >= 1. Locations
   // outside `bounds` are clamped into the nearest border cell.
-  GridIndex(const Rect& bounds, int cells_per_side)
-      : GridIndex(bounds, cells_per_side, cells_per_side) {}
-
-  // Anisotropic grid: `cells_x` columns by `cells_y` rows. A per-shard
-  // engine covering a non-square sub-rect of the universe uses this to
-  // keep its cell geometry identical to the global single-grid layout
-  // (same cell width AND height), so per-cell candidate density — and
-  // hence total matching work — does not inflate with the shard count.
-  GridIndex(const Rect& bounds, int cells_x, int cells_y);
+  GridIndex(const Rect& bounds, int cells_per_side);
 
   GridIndex(const GridIndex&) = delete;
   GridIndex& operator=(const GridIndex&) = delete;
@@ -240,36 +232,36 @@ class GridIndex {
   double cell_height() const { return cell_h_; }
 
   // Visits the cells at Chebyshev distance exactly `ring` from `center`
-  // (ring 0 = the center cell itself), skipping cells outside the grid.
-  // Returns false when the entire ring was out of bounds. Ring geometry
-  // stays at base-cell granularity regardless of refinement; per-cell
-  // distance pruning against CellBounds is a lower bound for every leaf.
+  // (ring 0 = the center cell itself) that lie inside the inclusive cell
+  // range [lo, hi], which must lie inside the grid (see CellRangeOf).
+  // Only the stretches of the ring's sides inside the range are walked,
+  // so a ring that misses the range costs nothing. Ring geometry stays at
+  // base-cell granularity regardless of refinement; per-cell distance
+  // pruning against CellBounds is a lower bound for every leaf.
   template <typename Fn>
-  bool ForEachCellInRing(const CellCoord& center, int ring, Fn&& fn) const {
+  void ForEachCellInRing(const CellCoord& center, int ring,
+                         const CellCoord& lo, const CellCoord& hi,
+                         Fn&& fn) const {
     STQ_DCHECK(ring >= 0);
-    bool any = false;
-    auto visit = [&](int cx, int cy) {
-      if (cx < 0 || cy < 0 || cx >= nx_ || cy >= ny_) return;
-      any = true;
-      fn(CellCoord{cx, cy});
-    };
+    const auto in_x = [&](int cx) { return cx >= lo.x && cx <= hi.x; };
+    const auto in_y = [&](int cy) { return cy >= lo.y && cy <= hi.y; };
     if (ring == 0) {
-      visit(center.x, center.y);
-      return any;
+      if (in_x(center.x) && in_y(center.y)) fn(center);
+      return;
     }
     const int x0 = center.x - ring;
     const int x1 = center.x + ring;
     const int y0 = center.y - ring;
     const int y1 = center.y + ring;
-    for (int cx = x0; cx <= x1; ++cx) {
-      visit(cx, y0);
-      visit(cx, y1);
+    for (int cx = std::max(x0, lo.x); cx <= std::min(x1, hi.x); ++cx) {
+      if (in_y(y0)) fn(CellCoord{cx, y0});
+      if (in_y(y1)) fn(CellCoord{cx, y1});
     }
-    for (int cy = y0 + 1; cy <= y1 - 1; ++cy) {
-      visit(x0, cy);
-      visit(x1, cy);
+    for (int cy = std::max(y0 + 1, lo.y); cy <= std::min(y1 - 1, hi.y);
+         ++cy) {
+      if (in_x(x0)) fn(CellCoord{x0, cy});
+      if (in_x(x1)) fn(CellCoord{x1, cy});
     }
-    return any;
   }
 
   // Objects stored anywhere under one base cell (the whole leaf subtree

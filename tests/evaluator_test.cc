@@ -191,6 +191,43 @@ TEST(KnnEvaluatorTest, SearchFromOutsideBounds) {
   EXPECT_EQ(result[0].id, 1u);
 }
 
+// A search clipped to a rect (a shard's slab) walks only the cells
+// overlapping it: it returns the nearest objects stored there, from
+// centers inside or outside the rect, and every stored object there when
+// k exceeds their number.
+TEST(KnnEvaluatorTest, ClippedSearchMatchesBruteForceInsideTheRect) {
+  Xorshift128Plus rng(809);
+  const Rect slab{0.5, 0.0, 1.0, 1.0};  // exactly cell columns 4..7
+  for (size_t inside : {5u, 150u}) {
+    Harness h(8);
+    std::vector<std::pair<ObjectId, Point>> in_slab;
+    for (ObjectId id = 1; id <= inside + 50; ++id) {
+      const bool in = id <= inside;
+      const Point loc{in ? rng.NextDouble(0.5, 1.0) : rng.NextDouble(0.0, 0.49),
+                      rng.NextDouble()};
+      h.AddObject(id, loc);
+      if (in) in_slab.emplace_back(id, loc);
+    }
+    KnnEvaluator knn(h.state());
+    for (int trial = 0; trial < 40; ++trial) {
+      const Point center{rng.NextDouble(), rng.NextDouble()};
+      const int k = rng.NextInt(1, 12);
+      const auto result = knn.Search(center, k, &slab);
+      std::vector<KnnEvaluator::Neighbor> brute;
+      for (const auto& [id, loc] : in_slab) {
+        brute.push_back(
+            KnnEvaluator::Neighbor{SquaredDistance(center, loc), id});
+      }
+      std::sort(brute.begin(), brute.end());
+      if (brute.size() > static_cast<size_t>(k)) brute.resize(k);
+      ASSERT_EQ(result.size(), brute.size()) << "trial=" << trial;
+      for (size_t i = 0; i < brute.size(); ++i) {
+        EXPECT_EQ(result[i].id, brute[i].id) << "trial=" << trial;
+      }
+    }
+  }
+}
+
 // Randomized equivalence of the ring search with brute force across grid
 // resolutions (the pruning bounds are the risky part).
 TEST(KnnEvaluatorTest, RandomizedSearchMatchesBruteForce) {

@@ -1,10 +1,11 @@
 // API robustness fuzzing: long random sequences of valid AND invalid
-// calls against the query processor and the server, on the single grid
-// and on 4 shards. Nothing here asserts specific answers — the properties
-// are (a) no crash, (b) every call returns a Status rather than
-// corrupting state, (c) every call carrying a NaN or infinite value is
-// rejected with InvalidArgument, and (d) the engine's invariants hold
-// after every evaluation.
+// calls against the query processor and the server, on the single grid,
+// on 4 shards and on 2 adaptive shards that rebalance often. Nothing
+// here asserts specific answers — the properties are (a) no crash, (b)
+// every call returns a Status rather than corrupting state, (c) every
+// call carrying a NaN or infinite value is rejected with
+// InvalidArgument, and (d) the engine's invariants hold after every
+// evaluation.
 
 #include <cmath>
 #include <limits>
@@ -17,6 +18,7 @@
 #include "stq/common/random.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/server.h"
+#include "stq/core/sharded_server.h"
 
 namespace stq {
 namespace {
@@ -47,9 +49,41 @@ void ExpectVerdict(bool finite, const Status& status, int step) {
   }
 }
 
-// (seed, num_shards)
+// The engine configurations under fuzz.
+enum class Engine {
+  kSingleGrid,
+  kFourShards,
+  // Two adaptive shards that rebalance whenever they can, so many ticks
+  // hand entities off between shards while the random calls land.
+  kTwoShardsRebalancing,
+};
+
+void ConfigureEngine(Engine engine, QueryProcessorOptions* options) {
+  switch (engine) {
+    case Engine::kSingleGrid:
+      break;
+    case Engine::kFourShards:
+      options->num_shards = 4;
+      options->worker_threads = 2;
+      break;
+    case Engine::kTwoShardsRebalancing:
+      options->num_shards = 2;
+      options->worker_threads = 2;
+      options->adaptive.enabled = true;
+      options->adaptive.split_threshold = 4;
+      options->adaptive.merge_threshold = 1;
+      options->adaptive.max_level = 2;
+      options->adaptive.rebalance = true;
+      options->adaptive.rebalance_min_objects = 4;
+      options->adaptive.rebalance_imbalance = 1.2;
+      options->adaptive.rebalance_cooldown_ticks = 1;
+      break;
+  }
+}
+
+// (seed, engine)
 class ApiFuzz
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, Engine>> {};
 
 TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
   Xorshift128Plus rng(std::get<0>(GetParam()));
@@ -57,8 +91,7 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
   options.grid_cells_per_side = rng.NextInt(1, 24);
   options.prediction_horizon = rng.NextDouble(1.0, 50.0);
   options.record_history = rng.NextBool(0.5);
-  options.num_shards = std::get<1>(GetParam());
-  options.worker_threads = options.num_shards > 1 ? 2 : 1;
+  ConfigureEngine(std::get<1>(GetParam()), &options);
   QueryProcessor qp(options);
 
   // Small id spaces so that valid and invalid ids collide often.
@@ -147,13 +180,19 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
   now += 1.0;
   qp.EvaluateTick(now);
   EXPECT_TRUE(qp.CheckInvariants().ok());
+  // The rebalancing engine must actually have handed entities off (a
+  // one-cell grid cannot place a cut).
+  if (std::get<1>(GetParam()) == Engine::kTwoShardsRebalancing &&
+      options.grid_cells_per_side >= 2) {
+    EXPECT_FALSE(qp.sharded_engine()->rebalance_history().empty());
+  }
 }
 
 TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
   Xorshift128Plus rng(std::get<0>(GetParam()) * 31 + 7);
   Server::Options options;
   options.processor.grid_cells_per_side = 8;
-  options.processor.num_shards = std::get<1>(GetParam());
+  ConfigureEngine(std::get<1>(GetParam()), &options.processor);
   Server server(options);
   double now = 0.0;
 
@@ -216,12 +255,18 @@ TEST_P(ApiFuzz, ServerSurvivesRandomCallSequences) {
   now += 1.0;
   server.Tick(now);
   EXPECT_TRUE(server.processor().CheckInvariants().ok());
+  if (std::get<1>(GetParam()) == Engine::kTwoShardsRebalancing) {
+    EXPECT_FALSE(
+        server.processor().sharded_engine()->rebalance_history().empty());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndShards, ApiFuzz,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
-                       ::testing::Values(1, 4)));
+                       ::testing::Values(Engine::kSingleGrid,
+                                         Engine::kFourShards,
+                                         Engine::kTwoShardsRebalancing)));
 
 // Regression: a NaN report timestamp used to be accepted, and since every
 // comparison with NaN is false it then turned off the stale-report check

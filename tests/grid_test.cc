@@ -31,32 +31,6 @@ TEST(GridIndexTest, CellGeometry) {
             (Rect{0.25, 0.5, 0.5, 0.75}));
 }
 
-TEST(GridIndexTest, AnisotropicCellGeometry) {
-  // A half-universe shard keeping the global 4x4 cell size needs a 2x4
-  // layout: cells stay 0.25 x 0.25 even though the bounds are not square.
-  GridIndex grid(Rect{0.0, 0.0, 0.5, 1.0}, 2, 4);
-  EXPECT_EQ(grid.cells_x(), 2);
-  EXPECT_EQ(grid.cells_y(), 4);
-  EXPECT_DOUBLE_EQ(grid.cell_width(), 0.25);
-  EXPECT_DOUBLE_EQ(grid.cell_height(), 0.25);
-  EXPECT_EQ(grid.CellOf(Point{0.3, 0.9}), (CellCoord{1, 3}));
-  EXPECT_EQ(grid.CellOf(Point{0.5, 1.0}), (CellCoord{1, 3}));
-  EXPECT_EQ(grid.CellBounds(CellCoord{1, 2}), (Rect{0.25, 0.5, 0.5, 0.75}));
-
-  grid.InsertObject(1, Point{0.45, 0.95});
-  grid.InsertObject(2, Point{0.05, 0.05});
-  grid.InsertQuery(9, Rect{0.0, 0.6, 0.5, 1.0});
-  std::vector<ObjectId> found;
-  grid.CollectObjectsInRect(Rect{0.25, 0.75, 0.5, 1.0}, &found);
-  EXPECT_EQ(found, std::vector<ObjectId>{1});
-  std::vector<QueryId> queries;
-  grid.CollectQueriesInRect(Rect{0.0, 0.9, 0.1, 1.0}, &queries);
-  EXPECT_EQ(queries, std::vector<QueryId>{9});
-  const GridStats stats = grid.ComputeStats();
-  EXPECT_EQ(stats.num_object_entries, 2u);
-  EXPECT_EQ(stats.num_query_entries, 4u);  // 2 columns x 2 rows stubbed
-}
-
 TEST(GridIndexTest, InsertFindRemoveObject) {
   GridIndex grid(kUnit, 8);
   grid.InsertObject(7, Point{0.3, 0.3});
@@ -173,52 +147,71 @@ TEST(GridIndexTest, FootprintOutsideBoundsClamped) {
   grid.RemoveObjectFootprint(8, outside);
 }
 
+// The cells of one ring over the whole grid.
+std::vector<CellCoord> Ring(const GridIndex& grid, const CellCoord& center,
+                            int ring) {
+  std::vector<CellCoord> cells;
+  grid.ForEachCellInRing(
+      center, ring, CellCoord{0, 0},
+      CellCoord{grid.cells_x() - 1, grid.cells_y() - 1},
+      [&](const CellCoord& c) { cells.push_back(c); });
+  return cells;
+}
+
 TEST(GridIndexTest, RingIteration) {
   GridIndex grid(kUnit, 5);
   const CellCoord center{2, 2};
-  std::vector<CellCoord> cells;
-  EXPECT_TRUE(grid.ForEachCellInRing(
-      center, 0, [&](const CellCoord& c) { cells.push_back(c); }));
+  std::vector<CellCoord> cells = Ring(grid, center, 0);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0], center);
 
-  cells.clear();
-  EXPECT_TRUE(grid.ForEachCellInRing(
-      center, 1, [&](const CellCoord& c) { cells.push_back(c); }));
+  cells = Ring(grid, center, 1);
   EXPECT_EQ(cells.size(), 8u);
   for (const CellCoord& c : cells) {
     EXPECT_EQ(std::max(std::abs(c.x - 2), std::abs(c.y - 2)), 1);
   }
 
-  cells.clear();
-  EXPECT_TRUE(grid.ForEachCellInRing(
-      center, 2, [&](const CellCoord& c) { cells.push_back(c); }));
-  EXPECT_EQ(cells.size(), 16u);
-
+  EXPECT_EQ(Ring(grid, center, 2).size(), 16u);
   // Ring 3 around the center of a 5x5 grid is entirely out of bounds.
-  cells.clear();
-  EXPECT_FALSE(grid.ForEachCellInRing(
-      center, 3, [&](const CellCoord& c) { cells.push_back(c); }));
-  EXPECT_TRUE(cells.empty());
+  EXPECT_TRUE(Ring(grid, center, 3).empty());
 }
 
 TEST(GridIndexTest, RingIterationAtCorner) {
   GridIndex grid(kUnit, 5);
-  std::vector<CellCoord> cells;
-  EXPECT_TRUE(grid.ForEachCellInRing(
-      CellCoord{0, 0}, 1, [&](const CellCoord& c) { cells.push_back(c); }));
-  EXPECT_EQ(cells.size(), 3u);  // only the in-bounds quarter of the ring
+  // Only the in-bounds quarter of the ring.
+  EXPECT_EQ(Ring(grid, CellCoord{0, 0}, 1).size(), 3u);
 }
 
 TEST(GridIndexTest, RingsPartitionTheGrid) {
   GridIndex grid(kUnit, 7);
   std::set<std::pair<int, int>> seen;
   for (int ring = 0; ring < 7; ++ring) {
-    grid.ForEachCellInRing(CellCoord{1, 5}, ring, [&](const CellCoord& c) {
+    for (const CellCoord& c : Ring(grid, CellCoord{1, 5}, ring)) {
       EXPECT_TRUE(seen.emplace(c.x, c.y).second) << "cell visited twice";
-    });
+    }
   }
   EXPECT_EQ(seen.size(), 49u);
+}
+
+// A clipped ring visits exactly the ring cells inside the range, also
+// from a center outside it; rings that miss the range visit nothing.
+TEST(GridIndexTest, RingIterationClippedToRange) {
+  GridIndex grid(kUnit, 8);
+  const CellCoord lo{4, 0};
+  const CellCoord hi{7, 7};
+  std::set<std::pair<int, int>> seen;
+  for (int ring = 0; ring < 9; ++ring) {
+    std::vector<CellCoord> cells;
+    grid.ForEachCellInRing(CellCoord{1, 3}, ring, lo, hi,
+                           [&](const CellCoord& c) { cells.push_back(c); });
+    EXPECT_EQ(!cells.empty(), ring >= 3 && ring <= 6) << "ring " << ring;
+    for (const CellCoord& c : cells) {
+      EXPECT_EQ(std::max(std::abs(c.x - 1), std::abs(c.y - 3)), ring);
+      EXPECT_TRUE(c.x >= lo.x && c.x <= hi.x && c.y >= lo.y && c.y <= hi.y);
+      EXPECT_TRUE(seen.emplace(c.x, c.y).second) << "cell visited twice";
+    }
+  }
+  EXPECT_EQ(seen.size(), 32u);
 }
 
 TEST(GridIndexTest, StatsCountEntries) {
