@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "stq/core/grid_engine.h"
 #include "stq/gen/network_generator.h"
 #include "stq/gen/query_generator.h"
 #include "stq/gen/road_network.h"
@@ -88,7 +89,8 @@ void BM_TickByGridResolution(benchmark::State& state) {
     const stq::TickResult tick = live.processor->EvaluateTick(live.now);
     updates += tick.updates.size();
   }
-  const stq::GridStats stats = live.processor->grid().ComputeStats();
+  const stq::GridStats stats =
+      live.processor->grid_engine()->grid().ComputeStats();
   state.counters["updates_per_tick"] = benchmark::Counter(
       static_cast<double>(updates), benchmark::Counter::kAvgIterations);
   state.counters["query_stubs"] =

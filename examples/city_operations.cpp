@@ -15,6 +15,7 @@
 #include <string>
 
 #include "stq/core/density_monitor.h"
+#include "stq/core/grid_engine.h"
 #include "stq/gen/network_generator.h"
 #include "stq/gen/road_network.h"
 #include "stq/storage/persistent_server.h"
@@ -56,7 +57,7 @@ int main() {
     }
     ops.Tick(0.0);
 
-    stq::DensityMonitor density(&ops.processor().grid(),
+    stq::DensityMonitor density(&ops.processor().grid_engine()->grid(),
                                 /*threshold=*/2 * kNumVehicles / 256);
     for (int tick = 1; tick <= 8; ++tick) {
       const double now = tick * kTickSeconds;

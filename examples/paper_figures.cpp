@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "stq/core/client.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/server.h"
 
@@ -78,7 +79,7 @@ void Figure2KnnQueries() {
   qp.UpsertObject(1, {0.22, 0.20}, 1.0);  // p1 drives next to Q1
   qp.UpsertObject(7, {0.95, 0.95}, 1.0);  // p7 drives away from Q2
   PrintUpdates("T1 (incremental)  ", qp.EvaluateTick(1.0).updates);
-  const stq::QueryRecord* q2 = qp.query_store().Find(2);
+  const stq::QueryRecord* q2 = qp.grid_engine()->query_store().Find(2);
   std::printf("note: Q2's answer circle radius grew to %.3f — unlike range "
               "queries, k-NN regions change size over time\n\n",
               q2->circle.radius);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "stq/common/random.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 
 namespace {
@@ -73,7 +74,8 @@ int main() {
       }
       // Dead-reckon the "true" position from the last course; report it
       // with the (possibly new) velocity.
-      const stq::ObjectRecord* rec = qp.object_store().Find(i + 1);
+      const stq::ObjectRecord* rec =
+          qp.grid_engine()->object_store().Find(i + 1);
       const stq::Point pos = rec->trajectory().PositionAt(now);
       qp.UpsertPredictiveObject(i + 1, pos, courses[i], now);
     }

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/server.h"
 #include "stq/core/sharded_server.h"
@@ -65,7 +66,7 @@ void DiffEntryCounts(const EntryCounts& expected, const EntryCounts& actual,
   }
 }
 
-void AuditAnswerSymmetry(const QueryProcessor& qp, ViolationSink* sink) {
+void AuditAnswerSymmetry(const GridEngine& qp, ViolationSink* sink) {
   // QList -> answer direction, in deterministic object order.
   std::vector<ObjectId> oids;
   qp.object_store().ForEach(
@@ -113,7 +114,7 @@ void AuditAnswerSymmetry(const QueryProcessor& qp, ViolationSink* sink) {
   }
 }
 
-void AuditGridAgreement(const QueryProcessor& qp, ViolationSink* sink) {
+void AuditGridAgreement(const GridEngine& qp, ViolationSink* sink) {
   const GridIndex& grid = qp.grid();
 
   // Structural refinement-tree invariants first: leaves tile parents,
@@ -165,7 +166,7 @@ void AuditGridAgreement(const QueryProcessor& qp, ViolationSink* sink) {
   DiffEntryCounts(expected_queries, actual_queries, "query", sink);
 }
 
-void AuditAnswerCorrectness(const QueryProcessor& qp, ViolationSink* sink) {
+void AuditAnswerCorrectness(const GridEngine& qp, ViolationSink* sink) {
   std::vector<QueryId> qids;
   qp.query_store().ForEach([&](const QueryRecord& q) { qids.push_back(q.id); });
   std::sort(qids.begin(), qids.end());
@@ -185,6 +186,14 @@ void AuditAnswerCorrectness(const QueryProcessor& qp, ViolationSink* sink) {
       sink->Add(os.str());
     }
   }
+}
+
+// Checks 1-5 on one grid engine.
+void AuditGridEngine(const GridEngine& engine, bool verify_answers,
+                     ViolationSink* sink) {
+  AuditAnswerSymmetry(engine, sink);
+  AuditGridAgreement(engine, sink);
+  if (verify_answers && !sink->full()) AuditAnswerCorrectness(engine, sink);
 }
 
 }  // namespace
@@ -217,31 +226,30 @@ AuditReport InvariantAuditor::AuditProcessor(const QueryProcessor& qp) const {
     sink.Add(os.str());
     return report;
   }
-  if (qp.sharded()) {
-    // Sharded mode: every per-shard engine is a full single-grid
-    // processor, so it gets the complete structural audit; the routing
-    // and answer-composition invariants live at the router and are
-    // checked by AuditCrossShard (OList union over the shards equals the
-    // committed answer, no object double-counted, routing consistent).
-    const ShardedEngine& engine = *qp.sharded_engine();
-    for (int s = 0; s < engine.num_shards() && !sink.full(); ++s) {
-      const AuditReport shard_report = AuditProcessor(engine.shard(s));
-      for (const std::string& v : shard_report.violations) {
-        if (sink.full()) break;
-        std::ostringstream os;
-        os << "shard " << s << ": " << v;
-        sink.Add(os.str());
-      }
-    }
-    if (!sink.full()) {
-      engine.AuditCrossShard(options_.max_violations, &report.violations);
-    }
+  const ShardedEngine* sharded = qp.sharded_engine();
+  if (sharded == nullptr) {
+    AuditGridEngine(*qp.grid_engine(), options_.verify_answers_from_scratch,
+                    &sink);
     return report;
   }
-  AuditAnswerSymmetry(qp, &sink);
-  AuditGridAgreement(qp, &sink);
-  if (options_.verify_answers_from_scratch && !sink.full()) {
-    AuditAnswerCorrectness(qp, &sink);
+  // Every shard is a full grid engine, so it gets the complete audit;
+  // the routing and answer-composition invariants live at the router and
+  // are checked by AuditCrossShard (OList union over the shards equals
+  // the committed answer, no object double-counted, routing consistent).
+  for (int s = 0; s < sharded->num_shards() && !sink.full(); ++s) {
+    AuditReport shard_report;
+    ViolationSink shard_sink(options_.max_violations, &shard_report);
+    AuditGridEngine(sharded->shard(s), options_.verify_answers_from_scratch,
+                    &shard_sink);
+    for (const std::string& v : shard_report.violations) {
+      if (sink.full()) break;
+      std::ostringstream os;
+      os << "shard " << s << ": " << v;
+      sink.Add(os.str());
+    }
+  }
+  if (!sink.full()) {
+    sharded->AuditCrossShard(options_.max_violations, &report.violations);
   }
   return report;
 }

@@ -9,7 +9,7 @@
 // two of these produces *wrong continuous answers*, not crashes — so this
 // auditor exists to make divergences loud.
 //
-// Checks performed on a QueryProcessor:
+// Checks performed on a GridEngine (the single grid, or each shard):
 //   1. QList/answer symmetry: every query in an object's QList has that
 //      object in its answer, and vice versa.
 //   2. Grid/object agreement: each non-predictive object has exactly one
@@ -23,7 +23,7 @@
 //   5. k-NN sanity: a k-NN answer never exceeds k objects.
 //
 // On a sharded processor (options().num_shards > 1) checks 1-5 run on
-// every per-shard engine, and a cross-shard pass verifies the router's
+// every shard's GridEngine, and a cross-shard pass verifies the router's
 // composition: every object lives in exactly the shards the routing rule
 // assigns it (no double counting), every query is registered in exactly
 // the shards its region overlaps, the per-shard OList union (with

@@ -1,98 +1,91 @@
 #include "stq/core/query_processor.h"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cmath>
-#include <limits>
+#include <optional>
 #include <sstream>
-#include <utility>
 
 #include "stq/common/alloc_stats.h"
 #include "stq/common/check.h"
-#include "stq/core/grid_refiner.h"
+#include "stq/common/logging.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/invariant_auditor.h"
 #include "stq/core/sharded_server.h"
 
 namespace stq {
 
-namespace {
-
-// Accumulates the enclosing scope's wall time into a TickStats field.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    *sink_ += std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace
-
 QueryProcessor::QueryProcessor(const QueryProcessorOptions& options)
     : options_(options),
-      // In sharded mode the router (ShardedEngine) owns the history, the
-      // pool and all spatial state; the facade keeps only a 1-cell
-      // placeholder grid so the evaluator members stay valid.
-      history_(options.record_history && options.num_shards <= 1
-                   ? std::make_unique<HistoryStore>()
-                   : nullptr),
-      pool_(options.num_shards <= 1 &&
-                    ThreadPool::ResolveWorkers(options.worker_threads) > 1
-                ? std::make_unique<ThreadPool>(
-                      ThreadPool::ResolveWorkers(options.worker_threads))
-                : nullptr),
-      grid_(std::make_unique<GridIndex>(
-          options_.bounds,
-          options.num_shards > 1 ? 1 : options_.grid_cells_per_side)),
-      range_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
-      knn_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
-      predictive_(EngineState{grid_.get(), &objects_, &queries_, &options_}),
-      circle_(EngineState{grid_.get(), &objects_, &queries_, &options_}) {
+      history_(options.record_history ? std::make_unique<HistoryStore>()
+                                      : nullptr) {
   STQ_CHECK(options_.Validate()) << "invalid QueryProcessorOptions";
   if (options_.num_shards > 1) {
-    sharded_ = std::make_unique<ShardedEngine>(options_);
-  } else if (options_.adaptive.enabled) {
-    refiner_ = std::make_unique<GridRefiner>(options_.adaptive, grid_.get());
+    sharded_engine_ = std::make_unique<ShardedEngine>(options_);
+    engine_ = sharded_engine_.get();
+  } else {
+    grid_engine_ = std::make_unique<GridEngine>(options_);
+    engine_ = grid_engine_.get();
   }
 }
 
 QueryProcessor::~QueryProcessor() = default;
 
-EngineState QueryProcessor::state() {
-  return EngineState{grid_.get(), &objects_, &queries_, &options_};
-}
-
 // ---------------------------------------------------------------------------
-// Report ingestion
+// Report ingestion: every check runs here, once, for both engines
 // ---------------------------------------------------------------------------
 
-double QueryProcessor::LatestKnownReportTime(ObjectId id) const {
-  // A pending removal wipes the history; a pending upsert supersedes the
-  // store (its timestamp is what the store will hold after the next
-  // tick, and it may be older than the store's when it follows a
-  // removal). The buffer holds at most one of the two per id.
-  if (buffer_.HasPendingRemove(id)) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  if (const PendingObjectUpsert* u = buffer_.FindPendingUpsert(id);
-      u != nullptr) {
-    return u->t;
-  }
-  if (const ObjectRecord* o = objects_.Find(id); o != nullptr) {
-    return o->t;
-  }
-  return -std::numeric_limits<double>::infinity();
+namespace {
+
+// The rejections, each written once. They are built only on the failure
+// path, so an accepted call constructs no Status but its OK.
+
+Status NonFiniteReport() {
+  return Status::InvalidArgument(
+      "object report location, velocity and time must be finite");
 }
+
+Status StaleReport() { return Status::InvalidArgument("stale object report"); }
+
+Status NonFiniteQuery() {
+  return Status::InvalidArgument(
+      "query region, center, radius and window must be finite");
+}
+
+const char* KindName(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kRange:
+      return "range";
+    case QueryKind::kKnn:
+      return "k-NN";
+    case QueryKind::kPredictiveRange:
+      return "predictive";
+    case QueryKind::kCircleRange:
+      return "circular range";
+  }
+  return "unknown";
+}
+
+Status OutsideSpace(QueryKind kind) {
+  std::ostringstream os;
+  os << KindName(kind) << " query must overlap the space bounds";
+  return Status::InvalidArgument(os.str());
+}
+
+// The kind a pending registration gives its query.
+QueryKind RegisteredKind(QueryChangeKind change) {
+  switch (change) {
+    case QueryChangeKind::kRegisterKnn:
+      return QueryKind::kKnn;
+    case QueryChangeKind::kRegisterPredictive:
+      return QueryKind::kPredictiveRange;
+    case QueryChangeKind::kRegisterCircle:
+      return QueryKind::kCircleRange;
+    default:
+      return QueryKind::kRange;
+  }
+}
+
+}  // namespace
 
 Point QueryProcessor::ClampLocation(const Point& loc) const {
   const Rect& b = options_.bounds;
@@ -100,16 +93,19 @@ Point QueryProcessor::ClampLocation(const Point& loc) const {
                std::clamp(loc.y, b.min_y, b.max_y)};
 }
 
+Rect QueryProcessor::ClampRegion(const Rect& region) const {
+  return region.Intersection(options_.bounds);
+}
+
+bool QueryProcessor::IsStale(ObjectId id, Timestamp t) const {
+  return t < buffer_.LatestReportTime(
+                 id, [&] { return engine_->ObjectReportTime(id); });
+}
+
 Status QueryProcessor::UpsertObject(ObjectId id, const Point& loc,
                                     Timestamp t) {
-  if (sharded_ != nullptr) return sharded_->UpsertObject(id, loc, t);
-  if (!IsFinite(loc) || !std::isfinite(t)) {
-    return Status::InvalidArgument(
-        "object report location and time must be finite");
-  }
-  if (t < LatestKnownReportTime(id)) {
-    return Status::InvalidArgument("stale object report");
-  }
+  if (!IsFinite(loc) || !std::isfinite(t)) return NonFiniteReport();
+  if (IsStale(id, t)) return StaleReport();
   buffer_.AddObjectUpsert(PendingObjectUpsert{id, ClampLocation(loc),
                                               Velocity{}, t,
                                               /*predictive=*/false});
@@ -119,24 +115,17 @@ Status QueryProcessor::UpsertObject(ObjectId id, const Point& loc,
 Status QueryProcessor::UpsertPredictiveObject(ObjectId id, const Point& loc,
                                               const Velocity& vel,
                                               Timestamp t) {
-  if (sharded_ != nullptr) {
-    return sharded_->UpsertPredictiveObject(id, loc, vel, t);
-  }
   if (!IsFinite(loc) || !IsFinite(vel) || !std::isfinite(t)) {
-    return Status::InvalidArgument(
-        "object report location, velocity and time must be finite");
+    return NonFiniteReport();
   }
-  if (t < LatestKnownReportTime(id)) {
-    return Status::InvalidArgument("stale object report");
-  }
+  if (IsStale(id, t)) return StaleReport();
   buffer_.AddObjectUpsert(PendingObjectUpsert{id, ClampLocation(loc), vel, t,
                                               /*predictive=*/true});
   return Status::OK();
 }
 
 Status QueryProcessor::RemoveObject(ObjectId id) {
-  if (sharded_ != nullptr) return sharded_->RemoveObject(id);
-  const bool exists_in_store = objects_.Contains(id);
+  const bool exists_in_store = engine_->ObjectReportTime(id).has_value();
   if (!exists_in_store && !buffer_.HasPendingUpsert(id)) {
     std::ostringstream os;
     os << "object " << id << " unknown";
@@ -146,678 +135,158 @@ Status QueryProcessor::RemoveObject(ObjectId id) {
   return Status::OK();
 }
 
-Status QueryProcessor::ValidateQueryRegistration(QueryId id) const {
-  const bool live_in_store =
-      queries_.Contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (live_in_store || buffer_.HasPendingQueryRegister(id)) {
+Status QueryProcessor::AddRegistration(const PendingQueryChange& c) {
+  const bool stored = HasQuery(c.id);
+  if (buffer_.QueryLiveAfterDrain(c.id, stored)) {
     std::ostringstream os;
-    os << "query " << id << " already registered";
+    os << "query " << c.id << " already registered";
     return Status::AlreadyExists(os.str());
   }
+  buffer_.AddQueryChange(c, stored);
   return Status::OK();
 }
 
-Result<QueryKind> QueryProcessor::EffectiveQueryKind(QueryId id) const {
-  if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
-      pending != nullptr) {
-    switch (pending->kind) {
-      case QueryChangeKind::kRegisterRange:
-        return QueryKind::kRange;
-      case QueryChangeKind::kRegisterKnn:
-        return QueryKind::kKnn;
-      case QueryChangeKind::kRegisterPredictive:
-        return QueryKind::kPredictiveRange;
-      case QueryChangeKind::kRegisterCircle:
-        return QueryKind::kCircleRange;
-      case QueryChangeKind::kUnregister: {
-        std::ostringstream os;
-        os << "query " << id << " pending unregistration";
-        return Status::NotFound(os.str());
-      }
-      case QueryChangeKind::kMove:
-        break;  // fall through to the store's kind
+Status QueryProcessor::AddMove(const PendingQueryChange& c, QueryKind kind) {
+  // The kind the query has once the buffer drains.
+  const std::optional<QueryKind> stored = engine_->StoredQueryKind(c.id);
+  const PendingQueryChange* pending = buffer_.FindPendingQueryChange(c.id);
+  std::optional<QueryKind> current = stored;
+  if (pending != nullptr && pending->kind == QueryChangeKind::kUnregister) {
+    std::ostringstream os;
+    os << "query " << c.id << " pending unregistration";
+    return Status::NotFound(os.str());
+  }
+  if (pending != nullptr && pending->kind != QueryChangeKind::kMove) {
+    current = RegisteredKind(pending->kind);
+  }
+  if (!current.has_value()) return QueryEngine::UnknownQuery(c.id);
+  if (*current != kind) {
+    std::ostringstream os;
+    os << "query " << c.id << " is not a " << KindName(kind) << " query";
+    return Status::InvalidArgument(os.str());
+  }
+  if (kind == QueryKind::kCircleRange) {
+    // The disk must keep overlapping the space; its radius is held by the
+    // pending registration or the engine.
+    const double radius = pending != nullptr &&
+                                  pending->kind ==
+                                      QueryChangeKind::kRegisterCircle
+                              ? pending->radius
+                              : engine_->CircleRadius(c.id);
+    if (ClampRegion(Circle{c.center, radius}.BoundingBox()).IsEmpty()) {
+      return OutsideSpace(kind);
     }
   }
-  if (const QueryRecord* q = queries_.Find(id); q != nullptr) {
-    return q->kind;
-  }
-  std::ostringstream os;
-  os << "query " << id << " unknown";
-  return Status::NotFound(os.str());
-}
-
-Rect QueryProcessor::ClampRegion(const Rect& region) const {
-  return region.Intersection(options_.bounds);
+  buffer_.AddQueryChange(c, stored.has_value());
+  return Status::OK();
 }
 
 Status QueryProcessor::RegisterRangeQuery(QueryId id, const Rect& region) {
-  if (sharded_ != nullptr) return sharded_->RegisterRangeQuery(id, region);
-  if (!IsFinite(region)) {
-    return Status::InvalidArgument("query region must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "range query region must overlap the space bounds");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
+  if (!IsFinite(region)) return NonFiniteQuery();
   PendingQueryChange c;
   c.kind = QueryChangeKind::kRegisterRange;
   c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  c.region = ClampRegion(region);
+  if (c.region.IsEmpty()) return OutsideSpace(QueryKind::kRange);
+  return AddRegistration(c);
 }
 
 Status QueryProcessor::MoveRangeQuery(QueryId id, const Rect& region) {
-  if (sharded_ != nullptr) return sharded_->MoveRangeQuery(id, region);
-  if (!IsFinite(region)) {
-    return Status::InvalidArgument("query region must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "range query region must overlap the space bounds");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kRange) {
-    return Status::InvalidArgument("query is not a range query");
-  }
+  if (!IsFinite(region)) return NonFiniteQuery();
   PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
   c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  c.region = ClampRegion(region);
+  if (c.region.IsEmpty()) return OutsideSpace(QueryKind::kRange);
+  return AddMove(c, QueryKind::kRange);
 }
 
 Status QueryProcessor::RegisterKnnQuery(QueryId id, const Point& center,
                                         int k) {
-  if (sharded_ != nullptr) return sharded_->RegisterKnnQuery(id, center, k);
-  if (!IsFinite(center)) {
-    return Status::InvalidArgument("query center must be finite");
-  }
+  if (!IsFinite(center)) return NonFiniteQuery();
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
   PendingQueryChange c;
   c.kind = QueryChangeKind::kRegisterKnn;
   c.id = id;
   c.center = center;
   c.k = k;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  return AddRegistration(c);
 }
 
 Status QueryProcessor::MoveKnnQuery(QueryId id, const Point& center) {
-  if (sharded_ != nullptr) return sharded_->MoveKnnQuery(id, center);
-  if (!IsFinite(center)) {
-    return Status::InvalidArgument("query center must be finite");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kKnn) {
-    return Status::InvalidArgument("query is not a k-NN query");
-  }
+  if (!IsFinite(center)) return NonFiniteQuery();
   PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
   c.id = id;
   c.center = center;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  return AddMove(c, QueryKind::kKnn);
 }
 
 Status QueryProcessor::RegisterCircleQuery(QueryId id, const Point& center,
                                            double radius) {
-  if (sharded_ != nullptr) {
-    return sharded_->RegisterCircleQuery(id, center, radius);
-  }
-  if (!IsFinite(center) || !std::isfinite(radius)) {
-    return Status::InvalidArgument("query center and radius must be finite");
-  }
+  if (!IsFinite(center) || !std::isfinite(radius)) return NonFiniteQuery();
   if (radius <= 0.0) {
     return Status::InvalidArgument("circle radius must be positive");
   }
   if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
-    return Status::InvalidArgument(
-        "circle query must overlap the space bounds");
+    return OutsideSpace(QueryKind::kCircleRange);
   }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
   PendingQueryChange c;
   c.kind = QueryChangeKind::kRegisterCircle;
   c.id = id;
   c.center = center;
   c.radius = radius;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  return AddRegistration(c);
 }
 
 Status QueryProcessor::MoveCircleQuery(QueryId id, const Point& center) {
-  if (sharded_ != nullptr) return sharded_->MoveCircleQuery(id, center);
-  if (!IsFinite(center)) {
-    return Status::InvalidArgument("query center must be finite");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kCircleRange) {
-    return Status::InvalidArgument("query is not a circular range query");
-  }
-  // The disk must keep overlapping the space; its radius is stored either
-  // in the record or the pending registration.
-  double radius = 0.0;
-  if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
-      pending != nullptr &&
-      pending->kind == QueryChangeKind::kRegisterCircle) {
-    radius = pending->radius;
-  } else if (const QueryRecord* q = queries_.Find(id); q != nullptr) {
-    radius = q->circle.radius;
-  }
-  if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
-    return Status::InvalidArgument(
-        "circle query must overlap the space bounds");
-  }
+  if (!IsFinite(center)) return NonFiniteQuery();
   PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
   c.id = id;
   c.center = center;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  return AddMove(c, QueryKind::kCircleRange);
 }
 
 Status QueryProcessor::RegisterPredictiveQuery(QueryId id, const Rect& region,
                                                double t_from, double t_to) {
-  if (sharded_ != nullptr) {
-    return sharded_->RegisterPredictiveQuery(id, region, t_from, t_to);
+  if (!IsFinite(region) || !std::isfinite(t_from) || !std::isfinite(t_to)) {
+    return NonFiniteQuery();
   }
-  if (!IsFinite(region) || !std::isfinite(t_from) ||
-      !std::isfinite(t_to)) {
-    return Status::InvalidArgument("query region and window must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "predictive query region must overlap the space bounds");
-  }
-  if (t_to < t_from) {
-    return Status::InvalidArgument("predictive window must have t_from <= t_to");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
   PendingQueryChange c;
   c.kind = QueryChangeKind::kRegisterPredictive;
   c.id = id;
-  c.region = clamped;
+  c.region = ClampRegion(region);
   c.t_from = t_from;
   c.t_to = t_to;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  if (c.region.IsEmpty()) return OutsideSpace(QueryKind::kPredictiveRange);
+  if (t_to < t_from) {
+    return Status::InvalidArgument("predictive window must have t_from <= t_to");
+  }
+  return AddRegistration(c);
 }
 
 Status QueryProcessor::MovePredictiveQuery(QueryId id, const Rect& region) {
-  if (sharded_ != nullptr) return sharded_->MovePredictiveQuery(id, region);
-  if (!IsFinite(region)) {
-    return Status::InvalidArgument("query region must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "predictive query region must overlap the space bounds");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kPredictiveRange) {
-    return Status::InvalidArgument("query is not a predictive query");
-  }
+  if (!IsFinite(region)) return NonFiniteQuery();
   PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
   c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
-  return Status::OK();
+  c.region = ClampRegion(region);
+  if (c.region.IsEmpty()) return OutsideSpace(QueryKind::kPredictiveRange);
+  return AddMove(c, QueryKind::kPredictiveRange);
 }
 
 Status QueryProcessor::UnregisterQuery(QueryId id) {
-  if (sharded_ != nullptr) return sharded_->UnregisterQuery(id);
-  const bool live_in_store =
-      queries_.Contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (!live_in_store && !buffer_.HasPendingQueryRegister(id)) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
+  const bool stored = HasQuery(id);
+  if (!buffer_.QueryLiveAfterDrain(id, stored)) {
+    return QueryEngine::UnknownQuery(id);
   }
   PendingQueryChange c;
   c.kind = QueryChangeKind::kUnregister;
   c.id = id;
-  buffer_.AddQueryChange(c, queries_.Contains(id));
+  buffer_.AddQueryChange(c, stored);
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// Tick phases
+// Evaluation
 // ---------------------------------------------------------------------------
-
-void QueryProcessor::ApplyObjectRemovals(const std::vector<ObjectId>& removals,
-                                         Timestamp now,
-                                         std::vector<Update>* out,
-                                         TickStats* stats) {
-  for (ObjectId id : removals) {
-    if (history_ != nullptr) history_->RecordRemoval(id, now);
-    ObjectRecord* o = objects_.FindMutable(id);
-    STQ_CHECK(o != nullptr) << "buffered removal of unknown object " << id;
-    // Ship negatives for every answer the object participated in (copied:
-    // SetMembership edits the QList under our feet); a k-NN query losing
-    // a member must refill from the grid.
-    const auto memberships = o->queries;
-    for (QueryId qid : memberships) {
-      QueryRecord* q = queries_.FindMutable(qid);
-      STQ_DCHECK(q != nullptr);
-      SetMembership(o, q, false, out);
-      if (q->kind == QueryKind::kKnn) knn_.MarkDirty(qid);
-    }
-    if (o->predictive) {
-      grid_->RemoveObjectFootprint(id, o->footprint);
-    } else {
-      grid_->RemoveObject(id, o->loc);
-    }
-    objects_.Erase(id);
-    ++stats->object_removals_applied;
-  }
-}
-
-void QueryProcessor::ApplyObjectUpserts(
-    const std::vector<PendingObjectUpsert>& upserts,
-    std::vector<ObjectId>* moved, TickStats* stats) {
-  for (const PendingObjectUpsert& u : upserts) {
-    if (history_ != nullptr) history_->RecordReport(u.id, u.loc, u.t);
-    ObjectRecord* o = objects_.FindMutable(u.id);
-    if (o == nullptr) {
-      ObjectRecord rec;
-      rec.id = u.id;
-      rec.loc = u.loc;
-      rec.vel = u.predictive ? u.vel : Velocity{};
-      rec.t = u.t;
-      rec.predictive = u.predictive;
-      if (rec.predictive) {
-        rec.footprint = rec.trajectory().FootprintBetween(
-            rec.t, rec.t + options_.prediction_horizon);
-        grid_->InsertObjectFootprint(rec.id, rec.footprint);
-      } else {
-        grid_->InsertObject(rec.id, rec.loc);
-      }
-      objects_.Insert(std::move(rec));
-    } else {
-      if (o->predictive) {
-        grid_->RemoveObjectFootprint(o->id, o->footprint);
-      } else {
-        grid_->RemoveObject(o->id, o->loc);
-      }
-      o->loc = u.loc;
-      o->vel = u.predictive ? u.vel : Velocity{};
-      o->t = u.t;
-      o->predictive = u.predictive;
-      if (o->predictive) {
-        o->footprint = o->trajectory().FootprintBetween(
-            o->t, o->t + options_.prediction_horizon);
-        grid_->InsertObjectFootprint(o->id, o->footprint);
-      } else {
-        grid_->InsertObject(o->id, o->loc);
-      }
-    }
-    moved->push_back(u.id);
-    ++stats->object_updates_applied;
-  }
-}
-
-void QueryProcessor::DropQueryRecord(QueryId id, TickStats* stats) {
-  QueryRecord* q = queries_.FindMutable(id);
-  STQ_CHECK(q != nullptr) << "dropping unknown query " << id;
-  for (ObjectId oid : q->answer) {
-    ObjectRecord* o = objects_.FindMutable(oid);
-    STQ_DCHECK(o != nullptr);
-    ObjectStore::RemoveQuery(o, id);
-  }
-  if (!q->grid_footprint.IsEmpty()) {
-    grid_->RemoveQuery(id, q->grid_footprint);
-  }
-  queries_.Erase(id);
-  ++stats->queries_unregistered;
-}
-
-void QueryProcessor::ApplyQueryChanges(
-    const std::vector<PendingQueryChange>& changes, Timestamp now,
-    std::vector<std::pair<QueryId, Rect>>* changed_rects,
-    std::vector<QueryId>* moved_circles, TickStats* stats) {
-  for (const PendingQueryChange& c : changes) {
-    // A Register for an id still present in the store means the client
-    // unregistered and re-registered within one period: drop the old
-    // incarnation first.
-    if (c.kind != QueryChangeKind::kMove &&
-        c.kind != QueryChangeKind::kUnregister && queries_.Contains(c.id)) {
-      DropQueryRecord(c.id, stats);
-    }
-    switch (c.kind) {
-      case QueryChangeKind::kUnregister: {
-        DropQueryRecord(c.id, stats);
-        break;
-      }
-      case QueryChangeKind::kRegisterRange: {
-        QueryRecord rec;
-        rec.id = c.id;
-        rec.kind = QueryKind::kRange;
-        rec.region = c.region;
-        rec.t = now;
-        rec.grid_footprint = c.region;
-        grid_->InsertQuery(c.id, c.region);
-        queries_.Insert(std::move(rec));
-        changed_rects->emplace_back(c.id, Rect::Empty());
-        ++stats->query_changes_applied;
-        break;
-      }
-      case QueryChangeKind::kRegisterPredictive: {
-        QueryRecord rec;
-        rec.id = c.id;
-        rec.kind = QueryKind::kPredictiveRange;
-        rec.region = c.region;
-        rec.t_from = c.t_from;
-        rec.t_to = c.t_to;
-        rec.t = now;
-        rec.grid_footprint = c.region;
-        grid_->InsertQuery(c.id, c.region);
-        queries_.Insert(std::move(rec));
-        changed_rects->emplace_back(c.id, Rect::Empty());
-        ++stats->query_changes_applied;
-        break;
-      }
-      case QueryChangeKind::kRegisterKnn: {
-        QueryRecord rec;
-        rec.id = c.id;
-        rec.kind = QueryKind::kKnn;
-        rec.circle = Circle{c.center, 0.0};
-        rec.k = c.k;
-        rec.t = now;
-        // The grid footprint is installed by the k-NN evaluator once the
-        // first answer (and hence the circle radius) is known.
-        queries_.Insert(std::move(rec));
-        knn_.MarkDirty(c.id);
-        ++stats->query_changes_applied;
-        break;
-      }
-      case QueryChangeKind::kRegisterCircle: {
-        QueryRecord rec;
-        rec.id = c.id;
-        rec.kind = QueryKind::kCircleRange;
-        rec.circle = Circle{c.center, c.radius};
-        rec.t = now;
-        rec.grid_footprint =
-            CircleEvaluator::FootprintOf(rec, options_.bounds);
-        grid_->InsertQuery(c.id, rec.grid_footprint);
-        queries_.Insert(std::move(rec));
-        moved_circles->push_back(c.id);  // first evaluation
-        ++stats->query_changes_applied;
-        break;
-      }
-      case QueryChangeKind::kMove: {
-        QueryRecord* q = queries_.FindMutable(c.id);
-        STQ_CHECK(q != nullptr) << "buffered move of unknown query";
-        q->t = now;
-        if (q->kind == QueryKind::kKnn) {
-          q->circle.center = c.center;
-          knn_.MarkDirty(c.id);
-        } else if (q->kind == QueryKind::kCircleRange) {
-          q->circle.center = c.center;
-          const Rect footprint =
-              CircleEvaluator::FootprintOf(*q, options_.bounds);
-          if (!(footprint == q->grid_footprint)) {
-            if (!q->grid_footprint.IsEmpty()) {
-              grid_->RemoveQuery(c.id, q->grid_footprint);
-            }
-            if (!footprint.IsEmpty()) grid_->InsertQuery(c.id, footprint);
-            q->grid_footprint = footprint;
-          }
-          moved_circles->push_back(c.id);
-        } else {
-          const Rect old_region = q->region;
-          q->region = c.region;
-          grid_->RemoveQuery(c.id, q->grid_footprint);
-          grid_->InsertQuery(c.id, c.region);
-          q->grid_footprint = c.region;
-          changed_rects->emplace_back(c.id, old_region);
-        }
-        ++stats->query_changes_applied;
-        break;
-      }
-    }
-  }
-}
-
-void QueryProcessor::RunQueryPass(
-    const std::vector<std::pair<QueryId, Rect>>& changed,
-    const std::vector<QueryId>& moved_circles, std::vector<Update>* out) {
-  for (const auto& [qid, old_region] : changed) {
-    QueryRecord* q = queries_.FindMutable(qid);
-    STQ_DCHECK(q != nullptr);
-    if (q->kind == QueryKind::kRange) {
-      range_.OnQueryRegionChanged(q, old_region, out);
-    } else {
-      STQ_DCHECK(q->kind == QueryKind::kPredictiveRange);
-      predictive_.OnQueryRegionChanged(q, old_region, out);
-    }
-  }
-  for (QueryId qid : moved_circles) {
-    QueryRecord* q = queries_.FindMutable(qid);
-    STQ_DCHECK(q != nullptr && q->kind == QueryKind::kCircleRange);
-    circle_.OnCircleMoved(q, out);
-  }
-}
-
-void QueryProcessor::MatchObjectShard(const std::vector<ObjectId>& moved,
-                                      size_t begin, size_t end,
-                                      MatchOutput* out) const {
-  // Read-only over the grid and both stores: every decision is recorded
-  // as a delta intent and replayed later by ApplyMatchDeltas. Other
-  // shards run this concurrently against the same state.
-  const bool batch = options_.batch_evaluation;
-  std::vector<QueryId>& candidates = out->candidates;
-  for (size_t i = begin; i < end; ++i) {
-    const ObjectId oid = moved[i];
-    const ObjectRecord* o = objects_.Find(oid);
-    if (o == nullptr) continue;  // upserted then removed within the tick
-
-    // Negative side: re-test every membership under the new report.
-    for (QueryId qid : o->queries) {
-      const QueryRecord* q = queries_.Find(qid);
-      STQ_DCHECK(q != nullptr) << "QList references missing query " << qid;
-      switch (q->kind) {
-        case QueryKind::kRange:
-          if (!RangeEvaluator::Satisfies(*o, *q)) {
-            out->deltas.push_back(MatchDelta{qid, oid, false});
-          }
-          break;
-        case QueryKind::kPredictiveRange:
-          if (!PredictiveEvaluator::Satisfies(*o, *q, options_)) {
-            out->deltas.push_back(MatchDelta{qid, oid, false});
-          }
-          break;
-        case QueryKind::kCircleRange:
-          if (!CircleEvaluator::Satisfies(*o, *q)) {
-            out->deltas.push_back(MatchDelta{qid, oid, false});
-          }
-          break;
-        case QueryKind::kKnn:
-          out->knn_dirty.push_back(qid);
-          break;
-      }
-    }
-
-    // Positive side: candidate queries are those stubbed into the cells
-    // the object's (new) footprint touches. In batch mode a sampled
-    // mover's candidates come from exactly one grid slot, so it is
-    // deferred into the per-slot SoA batches (MatchProbeBatches below);
-    // predictive movers keep the scalar multi-slot footprint probe.
-    if (batch && !o->predictive) {
-      out->probes.push_back(
-          SlotProbe{grid_->SlotKeyOfPoint(o->loc), oid, o->loc.x, o->loc.y,
-                    o->t});
-      continue;
-    }
-    const Rect probe = o->predictive
-                           ? o->footprint.BoundingBox()
-                           : Rect{o->loc.x, o->loc.y, o->loc.x, o->loc.y};
-    grid_->CollectQueriesInRect(probe, &candidates);
-    for (QueryId qid : candidates) {
-      const QueryRecord* q = queries_.Find(qid);
-      STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
-      switch (q->kind) {
-        case QueryKind::kRange:
-          if (RangeEvaluator::Satisfies(*o, *q)) {
-            out->deltas.push_back(MatchDelta{qid, oid, true});
-          }
-          break;
-        case QueryKind::kPredictiveRange:
-          if (PredictiveEvaluator::Satisfies(*o, *q, options_)) {
-            out->deltas.push_back(MatchDelta{qid, oid, true});
-          }
-          break;
-        case QueryKind::kCircleRange:
-          if (CircleEvaluator::Satisfies(*o, *q)) {
-            out->deltas.push_back(MatchDelta{qid, oid, true});
-          }
-          break;
-        case QueryKind::kKnn:
-          // Entering the answer circle can displace the current k-th
-          // neighbor; refill lazily at the k-NN phase. The comparison
-          // uses the exact squared threshold (not the rounded radius) so
-          // exact distance ties dirty the query too.
-          if (SquaredDistance(q->circle.center, o->loc) <= q->knn_dist2) {
-            out->knn_dirty.push_back(qid);
-          }
-          break;
-      }
-    }
-  }
-  if (batch) MatchProbeBatches(out);
-}
-
-void QueryProcessor::MatchProbeBatches(MatchOutput* out) const {
-  // The deferred positive side of the batch object pass. Per (query,
-  // object) pair this evaluates the exact same predicate the scalar loop
-  // would have (the predictive case reduces to the rect+window kernel
-  // because every sampled object has zero velocity), and delta signs are
-  // decided on the same pre-pass state — so after canonicalization the
-  // tick's update stream is byte-identical to the pre-batch path.
-  std::vector<SlotProbe>& probes = out->probes;
-  if (probes.empty()) return;
-  std::sort(probes.begin(), probes.end(),
-            [](const SlotProbe& a, const SlotProbe& b) {
-              return a.slot != b.slot ? a.slot < b.slot : a.oid < b.oid;
-            });
-  CandidateBatch& b = out->batch;
-  for (size_t g0 = 0; g0 < probes.size();) {
-    size_t g1 = g0 + 1;
-    while (g1 < probes.size() && probes[g1].slot == probes[g0].slot) ++g1;
-    const size_t n = g1 - g0;
-    b.clear();
-    b.ids.reserve(n);
-    for (size_t i = g0; i < g1; ++i) {
-      const SlotProbe& p = probes[i];
-      b.ids.push_back(p.oid);
-      b.x.push_back(p.x);
-      b.y.push_back(p.y);
-      b.t.push_back(p.t);
-    }
-    const size_t words = MatchBitmapWords(n);
-    b.bits.resize(words);
-    // All group members share one grid slot; its stub list (unique qids)
-    // is the exact candidate set the degenerate point-rect walk produces
-    // for each of them.
-    grid_->ForEachQueryAt(Point{probes[g0].x, probes[g0].y}, [&](QueryId qid) {
-      const QueryRecord* q = queries_.Find(qid);
-      STQ_DCHECK(q != nullptr) << "grid stub references missing query " << qid;
-      switch (q->kind) {
-        case QueryKind::kRange:
-          MatchKernels::PointsInRect(b.x.data(), b.y.data(), n, q->region,
-                                     b.bits.data());
-          break;
-        case QueryKind::kPredictiveRange:
-          // Sampled movers have zero velocity, so the full trajectory
-          // test reduces to rect containment AND a non-empty effective
-          // window — the vectorizable kernel.
-          MatchKernels::PointsInRectWindow(b.x.data(), b.y.data(), b.t.data(),
-                                           n, q->region, q->t_from, q->t_to,
-                                           options_.prediction_horizon,
-                                           b.bits.data());
-          break;
-        case QueryKind::kCircleRange:
-          MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n,
-                                       q->circle.center,
-                                       q->circle.radius * q->circle.radius,
-                                       b.bits.data());
-          break;
-        case QueryKind::kKnn: {
-          MatchKernels::PointsInCircle(b.x.data(), b.y.data(), n,
-                                       q->circle.center, q->knn_dist2,
-                                       b.bits.data());
-          for (size_t w = 0; w < words; ++w) {
-            if (b.bits[w] != 0) {
-              // One mark suffices: the dirty set deduplicates.
-              out->knn_dirty.push_back(qid);
-              break;
-            }
-          }
-          return;
-        }
-      }
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = b.bits[w];
-        while (word != 0) {
-          const size_t i =
-              w * 64 + static_cast<size_t>(std::countr_zero(word));
-          word &= word - 1;
-          out->deltas.push_back(MatchDelta{qid, b.ids[i], true});
-        }
-      }
-    });
-    g0 = g1;
-  }
-}
-
-void QueryProcessor::ApplyMatchDeltas(std::vector<MatchOutput>& outputs,
-                                      std::vector<Update>* out) {
-  // Shard order equals `moved` order, so this replay emits the same
-  // update sequence the serial pass would have; SetMembership makes
-  // duplicate decisions for one (query, object) pair no-ops.
-  for (const MatchOutput& m : outputs) {
-    for (const MatchDelta& d : m.deltas) {
-      ObjectRecord* o = objects_.FindMutable(d.oid);
-      QueryRecord* q = queries_.FindMutable(d.qid);
-      STQ_DCHECK(o != nullptr && q != nullptr);
-      SetMembership(o, q, d.add, out);
-    }
-    for (QueryId qid : m.knn_dirty) knn_.MarkDirty(qid);
-  }
-}
-
-void QueryProcessor::RunObjectPass(const std::vector<ObjectId>& moved,
-                                   std::vector<Update>* out,
-                                   TickStats* stats) {
-  const int shards = pool_ == nullptr ? 1 : pool_->num_workers();
-  std::vector<MatchOutput>& outputs = scratch_.match_outputs;
-  outputs.resize(static_cast<size_t>(shards));
-  for (MatchOutput& m : outputs) m.clear();
-  {
-    PhaseTimer timer(&stats->object_match_seconds);
-    if (pool_ != nullptr) {
-      pool_->RunShards(moved.size(),
-                       [&](int shard, size_t begin, size_t end) {
-                         MatchObjectShard(moved, begin, end,
-                                          &outputs[static_cast<size_t>(shard)]);
-                       });
-    } else {
-      MatchObjectShard(moved, 0, moved.size(), &outputs[0]);
-    }
-  }
-  PhaseTimer timer(&stats->object_apply_seconds);
-  ApplyMatchDeltas(outputs, out);
-}
 
 TickResult QueryProcessor::EvaluateTick(Timestamp now) {
   TickResult result;
@@ -826,10 +295,6 @@ TickResult QueryProcessor::EvaluateTick(Timestamp now) {
 }
 
 void QueryProcessor::EvaluateTickInto(Timestamp now, TickResult* result) {
-  if (sharded_ != nullptr) {
-    sharded_->EvaluateTickInto(now, result);
-    return;
-  }
   if (now < last_tick_time_) {
     STQ_LOG(Warning) << "EvaluateTick time went backwards (" << now << " < "
                      << last_tick_time_ << ")";
@@ -841,313 +306,45 @@ void QueryProcessor::EvaluateTickInto(Timestamp now, TickResult* result) {
   result->time = now;
   result->updates.clear();
   result->stats = TickStats{};
-
-  // The tick's working vectors live in scratch_ and keep their capacity
-  // across ticks; Drain clears them before refilling.
-  std::vector<PendingObjectUpsert>& upserts = scratch_.upserts;
-  std::vector<ObjectId>& removals = scratch_.removals;
-  std::vector<PendingQueryChange>& query_changes = scratch_.query_changes;
+  TickStats& stats = result->stats;
   {
-    // Report routing (drain + deterministic ordering) — the single-grid
-    // counterpart of the sharded router's route phase, so the ablation
-    // rows stay comparable across engine modes.
-    PhaseTimer route_timer(&result->stats.shard_route_seconds);
-    buffer_.Drain(&upserts, &removals, &query_changes);
-
-    // Deterministic processing order independent of hash-map iteration.
-    std::sort(upserts.begin(), upserts.end(),
-              [](const PendingObjectUpsert& a, const PendingObjectUpsert& b) {
-                return a.id < b.id;
-              });
-    std::sort(removals.begin(), removals.end());
-    std::sort(query_changes.begin(), query_changes.end(),
-              [](const PendingQueryChange& a, const PendingQueryChange& b) {
-                return a.id < b.id;
-              });
-  }
-
-  std::vector<Update>* out = &result->updates;
-  std::vector<ObjectId>& moved = scratch_.moved;
-  std::vector<std::pair<QueryId, Rect>>& changed_rects = scratch_.changed_rects;
-  std::vector<QueryId>& moved_circles = scratch_.moved_circles;
-  moved.clear();
-  changed_rects.clear();
-  moved_circles.clear();
-
-  const auto tick_start = std::chrono::steady_clock::now();
-  // Phase 1: removals leave the engine (negatives for their memberships).
-  {
-    PhaseTimer timer(&result->stats.removals_seconds);
-    ApplyObjectRemovals(removals, now, out, &result->stats);
-  }
-  // Phase 2: bring every object's state (store + grid) up to date.
-  {
-    PhaseTimer timer(&result->stats.upserts_seconds);
-    ApplyObjectUpserts(upserts, &moved, &result->stats);
-  }
-  // Phase 3: bring every query's state up to date.
-  {
-    PhaseTimer timer(&result->stats.query_changes_seconds);
-    ApplyQueryChanges(query_changes, now, &changed_rects, &moved_circles,
-                      &result->stats);
-  }
-  // Phase 4: incremental evaluation of changed range/predictive/circle
-  // regions.
-  {
-    PhaseTimer timer(&result->stats.query_pass_seconds);
-    RunQueryPass(changed_rects, moved_circles, out);
-  }
-  // Phase 5: incremental evaluation of moved/new objects (parallel match,
-  // serial apply; times the halves into object_match/apply_seconds).
-  RunObjectPass(moved, out, &result->stats);
-  // Phase 6: re-evaluate the k-NN queries dirtied by phases 1-5
-  // (parallel searches, serial answer application).
-  {
-    std::vector<KnnEvaluator::DirtyAnswer> knn_answers;
-    {
-      PhaseTimer timer(&result->stats.knn_search_seconds);
-      knn_answers = knn_.SearchDirty(pool_.get());
+    // Drain (id-sorted) and history: the start of the route phase, in
+    // either engine.
+    PhaseTimer route_timer(&stats.shard_route_seconds);
+    buffer_.Drain(&batch_);
+    if (history_ != nullptr) {
+      for (ObjectId id : batch_.removals) history_->RecordRemoval(id, now);
+      for (const PendingObjectUpsert& u : batch_.upserts) {
+        history_->RecordReport(u.id, u.loc, u.t);
+      }
     }
-    PhaseTimer timer(&result->stats.knn_apply_seconds);
-    result->stats.knn_reevaluations = knn_.ApplyDirty(knn_answers, out);
   }
-  // The single grid is one "shard": wall == busy == max over phases 1-6.
-  // Populated in every mode so the ablation's single-grid baseline row is
-  // directly comparable to the sharded rows.
-  const double tick_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    tick_start)
-          .count();
-  result->stats.shards_ticked = 1;
-  result->stats.shard_tick_wall_seconds += tick_wall;
-  result->stats.shard_tick_busy_seconds += tick_wall;
-  result->stats.shard_tick_max_seconds =
-      std::max(result->stats.shard_tick_max_seconds, tick_wall);
+  engine_->Tick(now, batch_, result);
 
-  {
-    // Canonicalization is the single-grid analogue of the sharded merge.
-    PhaseTimer merge_timer(&result->stats.shard_merge_seconds);
-    CanonicalizeUpdates(out);
-  }
-  for (const Update& u : *out) {
+  for (const Update& u : result->updates) {
     if (u.sign == UpdateSign::kPositive) {
-      ++result->stats.positive_updates;
+      ++stats.positive_updates;
     } else {
-      ++result->stats.negative_updates;
+      ++stats.negative_updates;
     }
   }
-  // Phase 7 (adaptive mode only): resolution maintenance on the
-  // now-committed state. Pure index re-bucketing — the stream above is
-  // already sealed, and the next tick's exact-geometry matching is
-  // resolution-independent, so this is invisible in every future stream.
-  if (refiner_ != nullptr) {
-    PhaseTimer timer(&result->stats.adapt_seconds);
-    const GridRefiner::StepStats adapt = refiner_->Tick(objects_, queries_);
-    result->stats.cells_split = adapt.splits;
-    result->stats.cells_merged = adapt.merges;
-  }
-  result->stats.bytes_resident = AnswerBytesResident();
-  result->stats.heap_allocations = AllocCount() - allocs_before;
+  stats.bytes_resident = engine_->AnswerBytesResident();
+  // The counter is global (all threads), so under the sharded engine this
+  // covers the shard ticks too.
+  stats.heap_allocations = AllocCount() - allocs_before;
 }
 
 // ---------------------------------------------------------------------------
 // Introspection
 // ---------------------------------------------------------------------------
 
-Result<std::vector<ObjectId>> QueryProcessor::CurrentAnswer(
-    QueryId id) const {
-  if (sharded_ != nullptr) return sharded_->CurrentAnswer(id);
-  const QueryRecord* q = queries_.Find(id);
-  if (q == nullptr) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  return q->SortedAnswer();
-}
-
-Result<std::vector<ObjectId>> QueryProcessor::EvaluateFromScratch(
-    QueryId id) const {
-  if (sharded_ != nullptr) return sharded_->EvaluateFromScratch(id);
-  const QueryRecord* q = queries_.Find(id);
-  if (q == nullptr) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  std::vector<ObjectId> answer;
-  switch (q->kind) {
-    case QueryKind::kRange:
-      objects_.ForEach([&](const ObjectRecord& o) {
-        if (RangeEvaluator::Satisfies(o, *q)) answer.push_back(o.id);
-      });
-      break;
-    case QueryKind::kPredictiveRange:
-      objects_.ForEach([&](const ObjectRecord& o) {
-        if (PredictiveEvaluator::Satisfies(o, *q, options_)) {
-          answer.push_back(o.id);
-        }
-      });
-      break;
-    case QueryKind::kCircleRange:
-      objects_.ForEach([&](const ObjectRecord& o) {
-        if (CircleEvaluator::Satisfies(o, *q)) {
-          answer.push_back(o.id);
-        }
-      });
-      break;
-    case QueryKind::kKnn: {
-      std::vector<KnnEvaluator::Neighbor> all;
-      all.reserve(objects_.size());
-      objects_.ForEach([&](const ObjectRecord& o) {
-        all.push_back(KnnEvaluator::Neighbor{
-            SquaredDistance(q->circle.center, o.loc), o.id});
-      });
-      const size_t keep = std::min(all.size(), static_cast<size_t>(q->k));
-      std::partial_sort(all.begin(), all.begin() + keep, all.end());
-      for (size_t i = 0; i < keep; ++i) answer.push_back(all[i].id);
-      break;
-    }
-  }
-  std::sort(answer.begin(), answer.end());
-  return answer;
-}
-
 Result<std::vector<ObjectId>> QueryProcessor::EvaluatePastRangeQuery(
     const Rect& region, Timestamp t) const {
-  if (sharded_ != nullptr) {
-    return sharded_->EvaluatePastRangeQuery(region, t);
-  }
   if (history_ == nullptr) {
     return Status::FailedPrecondition(
         "past queries require QueryProcessorOptions::record_history");
   }
   return history_->RangeAt(ClampRegion(region), t);
-}
-
-int QueryProcessor::worker_threads() const {
-  if (sharded_ != nullptr) return sharded_->worker_threads();
-  return pool_ == nullptr ? 1 : pool_->num_workers();
-}
-
-size_t QueryProcessor::num_objects() const {
-  return sharded_ != nullptr ? sharded_->num_objects() : objects_.size();
-}
-
-size_t QueryProcessor::num_queries() const {
-  return sharded_ != nullptr ? sharded_->num_queries() : queries_.size();
-}
-
-size_t QueryProcessor::pending_reports() const {
-  if (sharded_ != nullptr) return sharded_->pending_reports();
-  return buffer_.pending_object_ops() + buffer_.pending_query_ops();
-}
-
-bool QueryProcessor::HasQuery(QueryId id) const {
-  return sharded_ != nullptr ? sharded_->HasQuery(id) : queries_.Contains(id);
-}
-
-const ObjectStore& QueryProcessor::object_store() const {
-  STQ_CHECK(sharded_ == nullptr)
-      << "object_store() is single-grid only; use sharded_engine()->shard(s)";
-  return objects_;
-}
-
-const QueryStore& QueryProcessor::query_store() const {
-  STQ_CHECK(sharded_ == nullptr)
-      << "query_store() is single-grid only; use sharded_engine()->shard(s)";
-  return queries_;
-}
-
-const GridIndex& QueryProcessor::grid() const {
-  STQ_CHECK(sharded_ == nullptr)
-      << "grid() is single-grid only; use sharded_engine()->shard(s)";
-  return *grid_;
-}
-
-ObjectStore& QueryProcessor::object_store_for_testing() {
-  STQ_CHECK(sharded_ == nullptr)
-      << "object_store_for_testing() is single-grid only";
-  return objects_;
-}
-
-QueryStore& QueryProcessor::query_store_for_testing() {
-  STQ_CHECK(sharded_ == nullptr)
-      << "query_store_for_testing() is single-grid only";
-  return queries_;
-}
-
-GridIndex& QueryProcessor::grid_for_testing() {
-  STQ_CHECK(sharded_ == nullptr) << "grid_for_testing() is single-grid only";
-  return *grid_;
-}
-
-const HistoryStore* QueryProcessor::history() const {
-  return sharded_ != nullptr ? sharded_->history() : history_.get();
-}
-
-bool QueryProcessor::GetAnswerSet(QueryId id, AnswerSet* out) const {
-  if (sharded_ != nullptr) return sharded_->GetAnswerSet(id, out);
-  out->clear();
-  const QueryRecord* q = queries_.Find(id);
-  if (q == nullptr) return false;
-  *out = q->answer;
-  return true;
-}
-
-size_t QueryProcessor::AnswerBytesResident() const {
-  if (sharded_ != nullptr) return sharded_->AnswerBytesResident();
-  size_t bytes = 0;
-  queries_.ForEach(
-      [&](const QueryRecord& q) { bytes += q.answer.bytes_resident(); });
-  return bytes;
-}
-
-std::vector<KnnEvaluator::Neighbor> QueryProcessor::SearchKnn(
-    const Point& center, int k, const Rect* within) const {
-  if (sharded_ != nullptr) return sharded_->SearchKnn(center, k);
-  if (k < 1) return {};
-  return knn_.Search(center, k, within);
-}
-
-void QueryProcessor::ForEachObjectInfo(
-    // stq-lint: allow(alloc-discipline/function): cold introspection walk
-    const std::function<void(const ObjectInfo&)>& fn) const {
-  if (sharded_ != nullptr) {
-    sharded_->ForEachObjectInfo(fn);
-    return;
-  }
-  objects_.ForEach([&](const ObjectRecord& o) {
-    ObjectInfo info;
-    info.id = o.id;
-    info.loc = o.loc;
-    info.vel = o.vel;
-    info.t = o.t;
-    info.predictive = o.predictive;
-    info.qlist_size = o.queries.size();
-    fn(info);
-  });
-}
-
-void QueryProcessor::ForEachQueryInfo(
-    // stq-lint: allow(alloc-discipline/function): cold introspection walk
-    const std::function<void(const QueryInfo&)>& fn) const {
-  if (sharded_ != nullptr) {
-    sharded_->ForEachQueryInfo(fn);
-    return;
-  }
-  queries_.ForEach([&](const QueryRecord& q) {
-    QueryInfo info;
-    info.id = q.id;
-    info.kind = q.kind;
-    info.region = q.region;
-    info.circle = q.circle;
-    info.k = q.k;
-    info.t_from = q.t_from;
-    info.t_to = q.t_to;
-    info.answer_size = q.answer.size();
-    fn(info);
-  });
 }
 
 Status QueryProcessor::CheckInvariants() const {

@@ -20,11 +20,20 @@
 //   - predictive range queries over a future time window, matched against
 //     linear trajectories of velocity-reporting objects.
 //
-// Thread-compatible; callers serialize access. Internally, EvaluateTick
-// fans its read-only matching and k-NN search work out across
-// options.worker_threads workers and replays the resulting deltas
-// serially, so the update stream is byte-identical for every worker
-// count (see DESIGN.md, "Threading model").
+// One front door, two engines. Every call is checked here, once — finite
+// inputs, the stale-report rule, clamping, registration and kind rules —
+// and buffered in the one UpdateBuffer. At each tick the drained batch
+// goes to the engine the options select, through the QueryEngine
+// interface (core/query_engine.h): a GridEngine (core/grid_engine.h) when
+// options.num_shards == 1, a ShardedEngine (core/sharded_server.h) over
+// per-shard GridEngines otherwise. Both emit the same byte-identical
+// update stream.
+//
+// Thread-compatible; callers serialize access. Internally, a tick fans
+// its read-only matching and k-NN search work (or, sharded, the shard
+// ticks) out across options.worker_threads workers and replays the
+// results serially, so the update stream is byte-identical for every
+// worker count (see DESIGN.md, "Threading model").
 
 #ifndef STQ_CORE_QUERY_PROCESSOR_H_
 #define STQ_CORE_QUERY_PROCESSOR_H_
@@ -33,30 +42,20 @@
 #include <memory>
 #include <vector>
 
-#include "stq/common/flat_hash.h"
 #include "stq/common/result.h"
 #include "stq/common/status.h"
-#include "stq/common/thread_pool.h"
-#include "stq/core/circle_evaluator.h"
-#include "stq/core/engine_state.h"
 #include "stq/core/history_store.h"
-#include "stq/core/knn_evaluator.h"
 #include "stq/core/options.h"
-#include "stq/core/predictive_evaluator.h"
-#include "stq/core/range_evaluator.h"
+#include "stq/core/query_engine.h"
 #include "stq/core/update_buffer.h"
 
 namespace stq {
 
-class GridRefiner;
+class GridEngine;
 class ShardedEngine;
 
 class QueryProcessor {
  public:
-  // When options.num_shards > 1 the processor becomes a facade over a
-  // ShardedEngine (see sharded_server.h): the same API, the same
-  // byte-identical update stream, but evaluation is partitioned across
-  // per-shard grids that tick in parallel.
   explicit QueryProcessor(const QueryProcessorOptions& options = {});
   ~QueryProcessor();
 
@@ -119,87 +118,76 @@ class QueryProcessor {
   TickResult EvaluateTick(Timestamp now);
 
   // As EvaluateTick, but writes into `result`, whose buffers are cleared
-  // (capacity kept) and refilled. The sharded engine ticks every shard
-  // through this entry point so the per-shard update vectors stop
-  // allocating at steady state.
+  // (capacity kept) and refilled, so a caller ticking in a loop stops
+  // allocating update vectors at steady state.
   void EvaluateTickInto(Timestamp now, TickResult* result);
 
   // --- Introspection --------------------------------------------------------
 
   const QueryProcessorOptions& options() const { return options_; }
-  // True when this processor delegates to the sharded engine
+  // True when the processor drives the sharded engine
   // (options().num_shards > 1).
-  bool sharded() const { return sharded_ != nullptr; }
-  // The underlying sharded engine, or nullptr in single-grid mode.
-  const ShardedEngine* sharded_engine() const { return sharded_.get(); }
+  bool sharded() const { return sharded_engine_ != nullptr; }
+  // The engine the processor drives: exactly one of the two is non-null.
+  // Their structures (stores, grids, shards) are reached through them.
+  const GridEngine* grid_engine() const { return grid_engine_.get(); }
+  const ShardedEngine* sharded_engine() const {
+    return sharded_engine_.get();
+  }
   // Resolved worker count for the parallel tick phases (>= 1; equals
   // options().worker_threads unless that was 0 = auto).
-  int worker_threads() const;
-  size_t num_objects() const;
-  size_t num_queries() const;
-  size_t pending_reports() const;
-  bool HasQuery(QueryId id) const;
+  int worker_threads() const { return engine_->worker_threads(); }
+  size_t num_objects() const { return engine_->num_objects(); }
+  size_t num_queries() const { return engine_->num_queries(); }
+  size_t pending_reports() const {
+    return buffer_.pending_object_ops() + buffer_.pending_query_ops();
+  }
+  bool HasQuery(QueryId id) const {
+    return engine_->StoredQueryKind(id).has_value();
+  }
 
-  // Direct structure access — single-grid mode only (a sharded processor
-  // has one grid and one store pair *per shard*; reach them through
-  // sharded_engine()->shard(s)). STQ_CHECK-fails when sharded().
-  const ObjectStore& object_store() const;
-  const QueryStore& query_store() const;
-  const GridIndex& grid() const;
-
-  // Engine-independent views over the stored objects and queries, valid
-  // in both modes (iteration order is unspecified; sort by id for
-  // deterministic output). `answer_size` is the committed answer's
-  // cardinality; `qlist_size` is the object's QList length (0 in sharded
-  // mode, where QLists live inside the per-shard stores).
-  struct ObjectInfo {
-    ObjectId id = 0;
-    Point loc;
-    Velocity vel;
-    Timestamp t = 0.0;
-    bool predictive = false;
-    size_t qlist_size = 0;
-  };
-  struct QueryInfo {
-    QueryId id = 0;
-    QueryKind kind = QueryKind::kRange;
-    Rect region;
-    Circle circle;
-    int k = 0;
-    double t_from = 0.0;
-    double t_to = 0.0;
-    size_t answer_size = 0;
-  };
+  // Engine-independent views over the stored objects and queries
+  // (iteration order is unspecified; sort by id for deterministic
+  // output). `answer_size` is the committed answer's cardinality.
+  using ObjectInfo = QueryEngine::ObjectInfo;
+  using QueryInfo = QueryEngine::QueryInfo;
   // Cold introspection walks (persistence capture, invariant audits).
-  // Type erasure keeps the processor internals out of callers' headers,
-  // and the wrap cost is paid once per walk, never per element.
-  // stq-lint: allow(alloc-discipline/function): cold introspection walk
-  void ForEachObjectInfo(const std::function<void(const ObjectInfo&)>& fn) const;
-  // stq-lint: allow(alloc-discipline/function): cold introspection walk
-  void ForEachQueryInfo(const std::function<void(const QueryInfo&)>& fn) const;
+  // Type erasure keeps the engine internals out of callers' headers, and
+  // the wrap cost is paid once per walk, never per element.
+  void ForEachObjectInfo(
+      // stq-lint: allow(alloc-discipline/function): cold introspection walk
+      const std::function<void(const ObjectInfo&)>& fn) const {
+    engine_->ForEachObjectInfo(fn);
+  }
+  void ForEachQueryInfo(
+      // stq-lint: allow(alloc-discipline/function): cold introspection walk
+      const std::function<void(const QueryInfo&)>& fn) const {
+    engine_->ForEachQueryInfo(fn);
+  }
 
   // The answer currently reported for `id` (sorted by object id).
-  Result<std::vector<ObjectId>> CurrentAnswer(QueryId id) const;
+  Result<std::vector<ObjectId>> CurrentAnswer(QueryId id) const {
+    return engine_->CurrentAnswer(id);
+  }
 
   // The committed answer as a set; false when the query is unknown.
-  bool GetAnswerSet(QueryId id, AnswerSet* out) const;
+  bool GetAnswerSet(QueryId id, AnswerSet* out) const {
+    return engine_->GetAnswerSet(id, out);
+  }
 
   // Summed bytes_resident of every live per-query answer set (see
-  // core/answer_set.h). Valid in both engine modes; also published as
-  // TickStats::bytes_resident at the end of every tick.
-  size_t AnswerBytesResident() const;
-
-  // Exact k nearest neighbours of `center` over the current object
-  // population, sorted by (distance^2, id). Empty when k < 1. `within`
-  // restricts the grid walk to the cells overlapping it (a shard passes
-  // its slab; see KnnEvaluator::Search); the sharded facade ignores it.
-  std::vector<KnnEvaluator::Neighbor> SearchKnn(
-      const Point& center, int k, const Rect* within = nullptr) const;
+  // core/answer_set.h); also published as TickStats::bytes_resident at
+  // the end of every tick.
+  size_t AnswerBytesResident() const {
+    return engine_->AnswerBytesResident();
+  }
 
   // Recomputes the answer of `id` from first principles, bypassing all
   // incremental state (linear scan / brute-force k-NN). Ground truth for
   // tests and baselines.
-  Result<std::vector<ObjectId>> EvaluateFromScratch(QueryId id) const;
+  Result<std::vector<ObjectId>> EvaluateFromScratch(QueryId id) const {
+    return engine_->EvaluateFromScratch(id);
+  }
 
   // Verifies every engine invariant by running a full InvariantAuditor
   // pass (answer/QList symmetry, grid/store agreement, every stored
@@ -208,21 +196,19 @@ class QueryProcessor {
   Status CheckInvariants() const;
 
   // --- Test support ---------------------------------------------------------
-  // Mutable access to the engine's internal structures, for
-  // corruption-injection tests that verify the InvariantAuditor catches
-  // seeded divergences. Never used by the engine itself. The store/grid
-  // accessors are single-grid only (STQ_CHECK-fail when sharded());
-  // sharded tests corrupt a shard via sharded_engine_for_testing().
-  ObjectStore& object_store_for_testing();
-  QueryStore& query_store_for_testing();
-  GridIndex& grid_for_testing();
-  ShardedEngine* sharded_engine_for_testing() { return sharded_.get(); }
+  // Mutable access to the engine, for corruption-injection tests that
+  // verify the InvariantAuditor catches seeded divergences. Never used by
+  // the processor itself.
+  GridEngine* grid_engine_for_testing() { return grid_engine_.get(); }
+  ShardedEngine* sharded_engine_for_testing() {
+    return sharded_engine_.get();
+  }
 
   // --- Querying the past (requires options().record_history) ---------------
 
   // The retained report history, or nullptr when history recording is
   // off.
-  const HistoryStore* history() const;
+  const HistoryStore* history() const { return history_.get(); }
 
   // Snapshot range query as of past instant `t` (sample-and-hold over the
   // recorded reports). Only reports already applied by a tick are
@@ -231,135 +217,32 @@ class QueryProcessor {
                                                        Timestamp t) const;
 
  private:
-  EngineState state();
-
-  // Tick phases. Each appends to `out` and updates `stats`.
-  void ApplyObjectRemovals(const std::vector<ObjectId>& removals,
-                           Timestamp now, std::vector<Update>* out,
-                           TickStats* stats);
-  void ApplyObjectUpserts(const std::vector<PendingObjectUpsert>& upserts,
-                          std::vector<ObjectId>* moved, TickStats* stats);
-  // Fully removes a query record: scrubs member QLists, drops grid stubs,
-  // erases the record.
-  void DropQueryRecord(QueryId id, TickStats* stats);
-  void ApplyQueryChanges(const std::vector<PendingQueryChange>& changes,
-                         Timestamp now,
-                         std::vector<std::pair<QueryId, Rect>>* changed_rects,
-                         std::vector<QueryId>* moved_circles,
-                         TickStats* stats);
-  void RunQueryPass(const std::vector<std::pair<QueryId, Rect>>& changed,
-                    const std::vector<QueryId>& moved_circles,
-                    std::vector<Update>* out);
-  void RunObjectPass(const std::vector<ObjectId>& moved,
-                     std::vector<Update>* out, TickStats* stats);
-
-  // The object pass, split for shared-nothing parallelism:
-  //
-  //   match  (parallel)  each shard scans its slice of `moved` against
-  //                      the grid and the stores — strictly read-only —
-  //                      and records membership deltas and k-NN dirty
-  //                      marks in its own MatchOutput;
-  //   apply  (serial)    the deltas replay through SetMembership in
-  //                      shard order, which is exactly the order the
-  //                      serial pass would have produced.
-  //
-  // A delta's sign is decided purely by geometry (Satisfies) against the
-  // pre-pass state, so the replay is idempotent per (query, object) and
-  // the resulting update stream is byte-identical for any worker count.
-  struct MatchDelta {
-    QueryId qid = 0;
-    ObjectId oid = 0;
-    bool add = false;
-  };
-  // One sampled mover's positive-side probe in the batch object pass:
-  // its grid slot key plus the gathered state, so the slot-grouped kernel
-  // loop never re-touches the object store.
-  struct SlotProbe {
-    uint64_t slot = 0;
-    ObjectId oid = 0;
-    double x = 0.0;
-    double y = 0.0;
-    double t = 0.0;
-  };
-  struct MatchOutput {
-    std::vector<MatchDelta> deltas;
-    std::vector<QueryId> knn_dirty;
-    // Per-shard candidate scratch for CollectQueriesInRect; lives here so
-    // its capacity survives across ticks with the rest of the output.
-    std::vector<QueryId> candidates;
-    // Batch-mode scratch: per-slot probe list and the SoA kernel batch.
-    std::vector<SlotProbe> probes;
-    CandidateBatch batch;
-
-    void clear() {
-      deltas.clear();
-      knn_dirty.clear();
-      candidates.clear();
-      probes.clear();
-      batch.clear();
-    }
-  };
-  void MatchObjectShard(const std::vector<ObjectId>& moved, size_t begin,
-                        size_t end, MatchOutput* out) const;
-  // The batch positive side of MatchObjectShard: sorts the shard's probes
-  // by (slot, id) and runs one predicate kernel per (slot, candidate
-  // query) pair over the slot's SoA batch.
-  void MatchProbeBatches(MatchOutput* out) const;
-  void ApplyMatchDeltas(std::vector<MatchOutput>& outputs,
-                        std::vector<Update>* out);
-
-  // Tick-scoped scratch buffers, owned by the processor and reused across
-  // EvaluateTick calls so a steady-state tick performs no per-element
-  // allocation (capacities converge to the workload's high-water mark;
-  // see DESIGN.md, "Memory layout & allocation discipline"). Cleared at
-  // the start of each use — no state carries across ticks.
-  struct TickScratch {
-    std::vector<PendingObjectUpsert> upserts;
-    std::vector<ObjectId> removals;
-    std::vector<PendingQueryChange> query_changes;
-    std::vector<ObjectId> moved;
-    std::vector<std::pair<QueryId, Rect>> changed_rects;
-    std::vector<QueryId> moved_circles;
-    // One MatchOutput per matching shard; each keeps its delta capacity.
-    std::vector<MatchOutput> match_outputs;
-  };
-
-  // Highest report timestamp known (stored or pending) for the object, or
-  // -infinity when unknown.
-  double LatestKnownReportTime(ObjectId id) const;
-
   // Query regions are clamped to the space bounds (see RegisterRangeQuery).
   Rect ClampRegion(const Rect& region) const;
   // Object locations are clamped into the space (see UpsertObject).
   Point ClampLocation(const Point& loc) const;
 
-  Status ValidateQueryRegistration(QueryId id) const;
-  // Returns the kind the query will have once the buffer drains, or an
-  // error when the query does not (and will not) exist.
-  Result<QueryKind> EffectiveQueryKind(QueryId id) const;
+  // Whether a report at `t` is older than the object's latest report,
+  // pending or stored (the stale-report rule).
+  bool IsStale(ObjectId id, Timestamp t) const;
+  // Buffer `c` once the rules that need the engine's state pass: a
+  // registration needs a free id, a move (c's default kind) a query of
+  // `kind` that exists once the buffer drains — and a moved circle must
+  // keep overlapping the space.
+  Status AddRegistration(const PendingQueryChange& c);
+  Status AddMove(const PendingQueryChange& c, QueryKind kind);
 
   QueryProcessorOptions options_;
   std::unique_ptr<HistoryStore> history_;  // null unless record_history
-  // Fork/join pool for the matching and k-NN search phases; null when
-  // the resolved worker count is 1 (fully serial tick).
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<GridIndex> grid_;
-  ObjectStore objects_;
-  QueryStore queries_;
   UpdateBuffer buffer_;
-  RangeEvaluator range_;
-  KnnEvaluator knn_;
-  PredictiveEvaluator predictive_;
-  CircleEvaluator circle_;
-  TickScratch scratch_;
-  // Non-null iff options.adaptive.enabled in single-grid mode: splits
-  // hot cells / merges cold ones on committed state at the end of each
-  // tick (stream-invisible; see core/grid_refiner.h).
-  std::unique_ptr<GridRefiner> refiner_;
+  // The drained batch of the current tick; reused across ticks so its
+  // capacity survives.
+  UpdateBatch batch_;
+  // Exactly one engine exists; engine_ points at it.
+  std::unique_ptr<GridEngine> grid_engine_;
+  std::unique_ptr<ShardedEngine> sharded_engine_;
+  QueryEngine* engine_ = nullptr;
   Timestamp last_tick_time_ = 0.0;
-  // Non-null iff options.num_shards > 1; every public entry point then
-  // delegates here and the single-grid members above stay empty.
-  std::unique_ptr<ShardedEngine> sharded_;
 };
 
 }  // namespace stq

@@ -181,11 +181,7 @@ Status Server::MovePredictiveQuery(QueryId qid, const Rect& region) {
 
 Status Server::CommitQuery(QueryId qid) {
   auto owner = query_owner_.find(qid);
-  if (owner == query_owner_.end()) {
-    std::ostringstream os;
-    os << "query " << qid << " unknown";
-    return Status::NotFound(os.str());
-  }
+  if (owner == query_owner_.end()) return QueryEngine::UnknownQuery(qid);
   CommitCurrent(qid, owner->second);
   return Status::OK();
 }

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "stq/common/alloc_stats.h"
 #include "stq/common/check.h"
 #include "stq/core/answer_set.h"
 #include "stq/core/query_store.h"
@@ -19,24 +18,6 @@ namespace stq {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Accumulates the enclosing scope's wall time into a TickStats field.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* sink)
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    *sink_ += std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 // Exact squared distance from `p` to the closed rect `r`; 0 when inside.
 // Uses the same subtract-then-square arithmetic as SquaredDistance so an
@@ -122,34 +103,84 @@ void MergeCanonicalTails(const std::vector<Update>& a,
 }
 
 // One buffered operation for a shard, recorded during the serial route
-// phase and applied at the start of the shard's parallel tick task.
-// Per-shard op order is removals, then upserts interleaved with their
-// re-route removals, then query changes, then a rebalance's handoffs.
-// Each id gets at most one coalesced op sequence, and shard ingestion
-// sorts by id, so the shard's tick does not depend on this order.
+// phase and applied at the start of the shard's parallel tick task, into
+// the shard's own UpdateBuffer. Per-shard op order is removals, then
+// upserts interleaved with their re-route removals, then query changes,
+// then a rebalance's handoffs. The buffer coalesces each id's ops and
+// drains them sorted by id, so the shard's tick does not depend on this
+// order.
 struct ShardOp {
   enum class Kind : uint8_t {
-    kRemoveObject,
-    kUpsert,  // sampled or predictive, per `predictive`
-    kRegisterRange,
-    kRegisterPredictive,
-    kRegisterCircle,
-    kMoveRange,
-    kMovePredictive,
-    kMoveCircle,
-    kCapture,  // snapshot the committed answer of a departing query
-    kUnregister,
+    kRemoveObject,  // object.id
+    kUpsert,        // object
+    kQueryChange,   // query: a registration, move or unregistration
+    kCapture,  // query.id: snapshot the committed answer of a departing query
   };
   Kind kind = Kind::kRemoveObject;
-  bool predictive = false;
-  uint64_t id = 0;  // ObjectId or QueryId
-  Point loc;        // kUpsert location / circle center
-  Velocity vel;     // kUpsert (predictive)
-  double t = 0.0;   // kUpsert report time
-  Rect region;      // rectangle register/move ops
-  double radius = 0.0;              // kRegisterCircle
-  double t_from = 0.0, t_to = 0.0;  // kRegisterPredictive
+  PendingObjectUpsert object;
+  PendingQueryChange query;
+
+  uint64_t id() const {
+    return kind == Kind::kRemoveObject || kind == Kind::kUpsert ? object.id
+                                                                : query.id;
+  }
 };
+
+// Applies shard `s`'s routed ops to its own buffer `pending` through the
+// buffer's Add* calls, and appends the capture negatives of its departing
+// queries to `captures`. Reading a captured answer here, before the shard
+// tick, is exact: the ops are buffered, so they cannot have changed the
+// committed answer yet. Objects the shard removes this tick
+// (`removed_from`) ship their own phase-1 negatives and are skipped. An
+// op the shard cannot take means the router and the shard disagree about
+// what the shard holds — never an input error, since the front door has
+// checked every call — so it aborts, naming the shard and the id.
+void ApplyShardOps(int s, const GridEngine& shard,
+                   const std::vector<ShardOp>& ops,
+                   const FlatSet<ObjectId>& removed_from,
+                   UpdateBuffer* pending, std::vector<MergeEntry>* captures) {
+  for (const ShardOp& op : ops) {
+    bool ok = true;
+    switch (op.kind) {
+      case ShardOp::Kind::kRemoveObject: {
+        const bool stored = shard.ObjectReportTime(op.object.id).has_value();
+        ok = stored || pending->HasPendingUpsert(op.object.id);
+        pending->AddObjectRemove(op.object.id, stored);
+        break;
+      }
+      case ShardOp::Kind::kUpsert:
+        ok = op.object.t >=
+             pending->LatestReportTime(op.object.id, [&] {
+               return shard.ObjectReportTime(op.object.id);
+             });
+        pending->AddObjectUpsert(op.object);
+        break;
+      case ShardOp::Kind::kQueryChange: {
+        const bool stored = shard.StoredQueryKind(op.query.id).has_value();
+        const bool live = pending->QueryLiveAfterDrain(op.query.id, stored);
+        const bool registers = op.query.kind != QueryChangeKind::kMove &&
+                               op.query.kind != QueryChangeKind::kUnregister;
+        ok = registers ? !live : live;
+        pending->AddQueryChange(op.query, stored);
+        break;
+      }
+      case ShardOp::Kind::kCapture: {
+        const QueryRecord* rec = shard.query_store().Find(op.query.id);
+        ok = rec != nullptr;
+        if (!ok) break;
+        for (ObjectId oid : rec->answer) {  // ascending
+          if (!removed_from.contains(oid)) {
+            captures->push_back(MergeEntry{op.query.id, oid, -1, 0});
+          }
+        }
+        break;
+      }
+    }
+    STQ_CHECK(ok) << "shard " << s << " cannot take the routed op for id "
+                  << op.id()
+                  << ": the router and the shard disagree on what it holds";
+  }
+}
 
 // An (object-driven) k-NN dirtiness event: the locations an object report
 // touched this tick. Mirrors the single-grid engine, where a removal
@@ -164,19 +195,25 @@ struct KnnEvent {
 
 }  // namespace
 
-// Tick-scoped working buffers, reused across EvaluateTick calls. Every
+// Tick-scoped working buffers, reused across ticks. Every
 // container is cleared (never shrunk) before use, so the steady-state
 // tick allocates only when a buffer outgrows its previous high-water
 // mark. Defined here because MergeEntry/Reset/KnnEvent are local to this
 // translation unit.
 struct ShardedEngine::TickScratch {
-  std::vector<PendingObjectUpsert> upserts;
-  std::vector<ObjectId> removals;
-  std::vector<PendingQueryChange> query_changes;
   std::vector<char> touched;
   // Indexed by shard id; written only by the worker that claimed the
   // shard during the parallel phase (ops are read-only there).
   std::vector<std::vector<ShardOp>> ops;
+  // Each shard's ops, coalesced in its own buffer and drained for its
+  // tick. The shard's worker writes the buffer on every op, so each inbox
+  // starts a cache line of its own: neighbouring shards' workers never
+  // write one line.
+  struct alignas(64) ShardInbox {
+    UpdateBuffer pending;
+    UpdateBatch batch;
+  };
+  std::vector<ShardInbox> inboxes;
   std::vector<std::vector<MergeEntry>> captures;  // move-away negatives
   std::vector<std::vector<MergeEntry>> leaves;    // sorted leaf streams
   std::vector<TickResult> shard_results;
@@ -196,8 +233,8 @@ struct ShardedEngine::TickScratch {
   std::vector<double> shard_walls;  // indexed by position in `ticked`
   ShardList route_ns;  // routing fan-out of the report being dispatched
   std::vector<QueryId> knn_dirty_ids;
-  // Entities a rebalance this tick re-homes without a pending op of their
-  // own, ascending: listed by MaybeRebalance, routed by RouteHandoffs.
+  // Entities a rebalance this tick re-homes, ascending: listed by
+  // MaybeRebalance, routed by RouteHandoffs.
   std::vector<ObjectId> handoff_objects;
   std::vector<QueryId> handoff_queries;
 };
@@ -207,13 +244,10 @@ ShardedEngine::~ShardedEngine() = default;
 ShardedEngine::ShardedEngine(const QueryProcessorOptions& options)
     : options_(options),
       map_(options.bounds, options.num_shards),
-      history_(options.record_history ? std::make_unique<HistoryStore>()
-                                      : nullptr),
       pool_(ThreadPool::ResolveWorkers(options.worker_threads) > 1
                 ? std::make_unique<ThreadPool>(
                       ThreadPool::ResolveWorkers(options.worker_threads))
                 : nullptr) {
-  STQ_CHECK(options_.Validate()) << "invalid QueryProcessorOptions";
   STQ_CHECK(options_.num_shards >= 2)
       << "ShardedEngine requires num_shards >= 2";
   // Every shard engine spans the whole universe at the global cell count:
@@ -221,18 +255,29 @@ ShardedEngine::ShardedEngine(const QueryProcessorOptions& options)
   // objects. A shard's answers then depend only on which objects and
   // queries it holds, never on where the cuts lie, so a rebalance moves
   // entities between shards without touching any grid geometry, and
-  // refined cells survive it.
+  // refined cells survive it. Per-shard grids adapt independently.
   QueryProcessorOptions so = options_;
-  so.record_history = false;  // history lives at the router
-  so.worker_threads = 1;      // shards tick in parallel, each serially
-  so.num_shards = 1;
-  // Per-shard grids adapt independently; boundary moves are the engine's
-  // job, so the shard-level flag is inert inside a shard.
-  so.adaptive.rebalance = false;
+  so.worker_threads = 1;  // shards tick in parallel, each serially
   for (int s = 0; s < map_.num_shards(); ++s) {
-    shards_.push_back(std::make_unique<QueryProcessor>(so));
+    shards_.push_back(std::make_unique<GridEngine>(so));
   }
   scratch_ = std::make_unique<TickScratch>();
+}
+
+std::optional<Timestamp> ShardedEngine::ObjectReportTime(ObjectId id) const {
+  const RoutedObject* ro = objects_.FindPtr(id);
+  if (ro == nullptr) return std::nullopt;
+  return ro->t;
+}
+
+std::optional<QueryKind> ShardedEngine::StoredQueryKind(QueryId id) const {
+  const RoutedQuery* rq = queries_.FindPtr(id);
+  if (rq == nullptr) return std::nullopt;
+  return rq->kind;
+}
+
+double ShardedEngine::CircleRadius(QueryId id) const {
+  return queries_.FindPtr(id)->circle.radius;
 }
 
 namespace {
@@ -338,11 +383,9 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   x_cell_cuts_ = std::move(cuts_x);
   y_cell_cuts_ = std::move(cuts_y);
 
-  // An entity with a pending op this tick routes against the new map
-  // through the ordinary route paths, since its ro.shards / rq.shards
-  // still hold the old set. Every other entity whose route set changed is
-  // handed off by RouteHandoffs in this same tick. k-NN state is
-  // router-owned and untouched by partitioning.
+  // Every entity whose route set changed is handed off by RouteHandoffs
+  // in this same tick. k-NN state is router-owned and untouched by
+  // partitioning.
   TickScratch& scratch = *scratch_;
   ShardList& ns = scratch.route_ns;
   size_t moved_objects = 0;
@@ -350,15 +393,10 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
     RouteShardsOfObject(CommittedReport(oid, ro), &ns);
     if (ns == ro.shards) continue;
     ++moved_objects;
-    if (!buffer_.HasPendingUpsert(oid) && !buffer_.HasPendingRemove(oid)) {
-      scratch.handoff_objects.push_back(oid);
-    }
+    scratch.handoff_objects.push_back(oid);
   }
   for (const auto& [qid, rq] : queries_) {
-    if (rq.kind == QueryKind::kKnn ||
-        buffer_.FindPendingQueryChange(qid) != nullptr) {
-      continue;
-    }
+    if (rq.kind == QueryKind::kKnn) continue;
     RouteShardsOf(rq, &ns);
     if (!(ns == rq.shards)) scratch.handoff_queries.push_back(qid);
   }
@@ -373,297 +411,6 @@ void ShardedEngine::MaybeRebalance(Timestamp now, TickStats* stats) {
   event.moved_objects = moved_objects;
   rebalance_history_.push_back(std::move(event));
   ++stats->shard_rebalances;
-}
-
-// ---------------------------------------------------------------------------
-// Report ingestion (mirrors QueryProcessor bit for bit)
-// ---------------------------------------------------------------------------
-
-double ShardedEngine::LatestKnownReportTime(ObjectId id) const {
-  if (buffer_.HasPendingRemove(id)) return -kInf;
-  if (const PendingObjectUpsert* u = buffer_.FindPendingUpsert(id);
-      u != nullptr) {
-    return u->t;
-  }
-  if (auto it = objects_.find(id); it != objects_.end()) return it->second.t;
-  return -kInf;
-}
-
-Point ShardedEngine::ClampLocation(const Point& loc) const {
-  return Point{std::clamp(loc.x, options_.bounds.min_x, options_.bounds.max_x),
-               std::clamp(loc.y, options_.bounds.min_y,
-                          options_.bounds.max_y)};
-}
-
-Rect ShardedEngine::ClampRegion(const Rect& region) const {
-  return region.Intersection(options_.bounds);
-}
-
-Status ShardedEngine::UpsertObject(ObjectId id, const Point& loc,
-                                   Timestamp t) {
-  if (!IsFinite(loc) || !std::isfinite(t)) {
-    return Status::InvalidArgument(
-        "object report location and time must be finite");
-  }
-  if (t < LatestKnownReportTime(id)) {
-    return Status::InvalidArgument("stale object report");
-  }
-  buffer_.AddObjectUpsert(PendingObjectUpsert{id, ClampLocation(loc),
-                                              Velocity{}, t,
-                                              /*predictive=*/false});
-  return Status::OK();
-}
-
-Status ShardedEngine::UpsertPredictiveObject(ObjectId id, const Point& loc,
-                                             const Velocity& vel,
-                                             Timestamp t) {
-  if (!IsFinite(loc) || !IsFinite(vel) || !std::isfinite(t)) {
-    return Status::InvalidArgument(
-        "object report location, velocity and time must be finite");
-  }
-  if (t < LatestKnownReportTime(id)) {
-    return Status::InvalidArgument("stale object report");
-  }
-  buffer_.AddObjectUpsert(PendingObjectUpsert{id, ClampLocation(loc), vel, t,
-                                              /*predictive=*/true});
-  return Status::OK();
-}
-
-Status ShardedEngine::RemoveObject(ObjectId id) {
-  const bool exists_in_store = objects_.contains(id);
-  if (!exists_in_store && !buffer_.HasPendingUpsert(id)) {
-    std::ostringstream os;
-    os << "object " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  buffer_.AddObjectRemove(id, exists_in_store);
-  return Status::OK();
-}
-
-Status ShardedEngine::ValidateQueryRegistration(QueryId id) const {
-  const bool live_in_store =
-      queries_.contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (live_in_store || buffer_.HasPendingQueryRegister(id)) {
-    std::ostringstream os;
-    os << "query " << id << " already registered";
-    return Status::AlreadyExists(os.str());
-  }
-  return Status::OK();
-}
-
-Result<QueryKind> ShardedEngine::EffectiveQueryKind(QueryId id) const {
-  if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
-      pending != nullptr) {
-    switch (pending->kind) {
-      case QueryChangeKind::kRegisterRange:
-        return QueryKind::kRange;
-      case QueryChangeKind::kRegisterKnn:
-        return QueryKind::kKnn;
-      case QueryChangeKind::kRegisterPredictive:
-        return QueryKind::kPredictiveRange;
-      case QueryChangeKind::kRegisterCircle:
-        return QueryKind::kCircleRange;
-      case QueryChangeKind::kUnregister: {
-        std::ostringstream os;
-        os << "query " << id << " pending unregistration";
-        return Status::NotFound(os.str());
-      }
-      case QueryChangeKind::kMove:
-        break;  // fall through to the routed kind
-    }
-  }
-  if (auto it = queries_.find(id); it != queries_.end()) {
-    return it->second.kind;
-  }
-  std::ostringstream os;
-  os << "query " << id << " unknown";
-  return Status::NotFound(os.str());
-}
-
-Status ShardedEngine::RegisterRangeQuery(QueryId id, const Rect& region) {
-  if (!IsFinite(region)) {
-    return Status::InvalidArgument("query region must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "range query region must overlap the space bounds");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterRange;
-  c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MoveRangeQuery(QueryId id, const Rect& region) {
-  if (!IsFinite(region)) {
-    return Status::InvalidArgument("query region must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "range query region must overlap the space bounds");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kRange) {
-    return Status::InvalidArgument("query is not a range query");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::RegisterKnnQuery(QueryId id, const Point& center,
-                                       int k) {
-  if (!IsFinite(center)) {
-    return Status::InvalidArgument("query center must be finite");
-  }
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterKnn;
-  c.id = id;
-  c.center = center;
-  c.k = k;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MoveKnnQuery(QueryId id, const Point& center) {
-  if (!IsFinite(center)) {
-    return Status::InvalidArgument("query center must be finite");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kKnn) {
-    return Status::InvalidArgument("query is not a k-NN query");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.center = center;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::RegisterCircleQuery(QueryId id, const Point& center,
-                                          double radius) {
-  if (!IsFinite(center) || !std::isfinite(radius)) {
-    return Status::InvalidArgument("query center and radius must be finite");
-  }
-  if (radius <= 0.0) {
-    return Status::InvalidArgument("circle radius must be positive");
-  }
-  if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
-    return Status::InvalidArgument(
-        "circle query must overlap the space bounds");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterCircle;
-  c.id = id;
-  c.center = center;
-  c.radius = radius;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MoveCircleQuery(QueryId id, const Point& center) {
-  if (!IsFinite(center)) {
-    return Status::InvalidArgument("query center must be finite");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kCircleRange) {
-    return Status::InvalidArgument("query is not a circular range query");
-  }
-  double radius = 0.0;
-  if (const PendingQueryChange* pending = buffer_.FindPendingQueryChange(id);
-      pending != nullptr &&
-      pending->kind == QueryChangeKind::kRegisterCircle) {
-    radius = pending->radius;
-  } else if (auto it = queries_.find(id); it != queries_.end()) {
-    radius = it->second.circle.radius;
-  }
-  if (ClampRegion(Circle{center, radius}.BoundingBox()).IsEmpty()) {
-    return Status::InvalidArgument(
-        "circle query must overlap the space bounds");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.center = center;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::RegisterPredictiveQuery(QueryId id, const Rect& region,
-                                              double t_from, double t_to) {
-  if (!IsFinite(region) || !std::isfinite(t_from) ||
-      !std::isfinite(t_to)) {
-    return Status::InvalidArgument("query region and window must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "predictive query region must overlap the space bounds");
-  }
-  if (t_to < t_from) {
-    return Status::InvalidArgument("predictive window must have t_from <= t_to");
-  }
-  STQ_RETURN_IF_ERROR(ValidateQueryRegistration(id));
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kRegisterPredictive;
-  c.id = id;
-  c.region = clamped;
-  c.t_from = t_from;
-  c.t_to = t_to;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::MovePredictiveQuery(QueryId id, const Rect& region) {
-  if (!IsFinite(region)) {
-    return Status::InvalidArgument("query region must be finite");
-  }
-  const Rect clamped = ClampRegion(region);
-  if (clamped.IsEmpty()) {
-    return Status::InvalidArgument(
-        "predictive query region must overlap the space bounds");
-  }
-  Result<QueryKind> kind = EffectiveQueryKind(id);
-  if (!kind.ok()) return kind.status();
-  if (*kind != QueryKind::kPredictiveRange) {
-    return Status::InvalidArgument("query is not a predictive query");
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kMove;
-  c.id = id;
-  c.region = clamped;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
-}
-
-Status ShardedEngine::UnregisterQuery(QueryId id) {
-  const bool live_in_store =
-      queries_.contains(id) && !buffer_.HasPendingQueryUnregister(id);
-  if (!live_in_store && !buffer_.HasPendingQueryRegister(id)) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
-  }
-  PendingQueryChange c;
-  c.kind = QueryChangeKind::kUnregister;
-  c.id = id;
-  buffer_.AddQueryChange(c, queries_.contains(id));
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +434,8 @@ void ShardedEngine::RouteShardsOf(const RoutedQuery& rq,
       // disk), so that shard's registration would match nothing the home
       // shard of a member does not already report, and the refcounts
       // would absorb the duplicate anyway.
-      map_.ShardsOverlapping(ClampRegion(rq.circle.BoundingBox()), out);
+      map_.ShardsOverlapping(
+          rq.circle.BoundingBox().Intersection(map_.universe()), out);
       const double r2 = rq.circle.radius * rq.circle.radius;
       size_t w = 0;
       for (int s : *out) {
@@ -745,11 +493,7 @@ void ShardedEngine::RouteObject(const PendingObjectUpsert& u,
   auto push = [&](int s, ShardOp::Kind kind) {
     ShardOp op;
     op.kind = kind;
-    op.predictive = u.predictive;
-    op.id = u.id;
-    op.loc = u.loc;
-    op.vel = u.vel;
-    op.t = u.t;
+    op.object = u;
     scratch.ops[s].push_back(op);
     scratch.touched[s] = 1;
   };
@@ -783,30 +527,29 @@ void ShardedEngine::RouteQuery(QueryId id, RoutedQuery* rq, bool resend_kept) {
         std::binary_search(rq->shards.begin(), rq->shards.end(), s);
     if (kept && !resend_kept) continue;
     ShardOp op;
-    op.id = id;
+    op.kind = ShardOp::Kind::kQueryChange;
+    PendingQueryChange& c = op.query;
+    c.id = id;
+    c.region = rq->region;
+    c.center = rq->circle.center;
+    c.radius = rq->circle.radius;
+    c.t_from = rq->t_from;
+    c.t_to = rq->t_to;
     switch (rq->kind) {
       case QueryKind::kRange:
-        op.kind = kept ? ShardOp::Kind::kMoveRange
-                       : ShardOp::Kind::kRegisterRange;
-        op.region = rq->region;
+        c.kind = QueryChangeKind::kRegisterRange;
         break;
       case QueryKind::kPredictiveRange:
-        op.kind = kept ? ShardOp::Kind::kMovePredictive
-                       : ShardOp::Kind::kRegisterPredictive;
-        op.region = rq->region;
-        op.t_from = rq->t_from;
-        op.t_to = rq->t_to;
+        c.kind = QueryChangeKind::kRegisterPredictive;
         break;
       case QueryKind::kCircleRange:
-        op.kind = kept ? ShardOp::Kind::kMoveCircle
-                       : ShardOp::Kind::kRegisterCircle;
-        op.loc = rq->circle.center;
-        op.radius = rq->circle.radius;
+        c.kind = QueryChangeKind::kRegisterCircle;
         break;
       case QueryKind::kKnn:
         STQ_CHECK(false) << "unreachable: k-NN queries route to no shard";
         break;
     }
+    if (kept) c.kind = QueryChangeKind::kMove;
     scratch.ops[s].push_back(op);
     scratch.touched[s] = 1;
   }
@@ -815,10 +558,11 @@ void ShardedEngine::RouteQuery(QueryId id, RoutedQuery* rq, bool resend_kept) {
     // Departing shard: capture its committed answer (it turns
     // all-negative at the router), then unregister there.
     ShardOp op;
-    op.id = id;
     op.kind = ShardOp::Kind::kCapture;
+    op.query.id = id;
     scratch.ops[s].push_back(op);
-    op.kind = ShardOp::Kind::kUnregister;
+    op.kind = ShardOp::Kind::kQueryChange;
+    op.query.kind = QueryChangeKind::kUnregister;
     scratch.ops[s].push_back(op);
     scratch.touched[s] = 1;
   }
@@ -831,13 +575,18 @@ void ShardedEngine::RouteHandoffs() {
   // the arriving shard re-ingests the committed state (positives for
   // what it matches there), and the refcount merge nets each -A/+A pair
   // to nothing. Shards that keep the entity already hold it as is. No
-  // history record and no k-NN event: the entity did not move.
+  // history record and no k-NN event: the entity did not move. An entity
+  // the batch already routed this tick holds its shard set under the new
+  // map, so routing it again sends nothing; one the batch dropped is gone.
   for (ObjectId id : scratch_->handoff_objects) {
-    RoutedObject& ro = *objects_.FindPtr(id);
-    RouteObject(CommittedReport(id, ro), &ro, /*resend_kept=*/false);
+    RoutedObject* ro = objects_.FindPtr(id);
+    if (ro != nullptr) {
+      RouteObject(CommittedReport(id, *ro), ro, /*resend_kept=*/false);
+    }
   }
   for (QueryId id : scratch_->handoff_queries) {
-    RouteQuery(id, queries_.FindPtr(id), /*resend_kept=*/false);
+    RoutedQuery* rq = queries_.FindPtr(id);
+    if (rq != nullptr) RouteQuery(id, rq, /*resend_kept=*/false);
   }
 }
 
@@ -876,32 +625,16 @@ void ShardedEngine::ForEachAnswerMember(QueryId id, const RoutedQuery& rq,
 // Tick
 // ---------------------------------------------------------------------------
 
-TickResult ShardedEngine::EvaluateTick(Timestamp now) {
-  TickResult result;
-  EvaluateTickInto(now, &result);
-  return result;
-}
-
-void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
-  if (now < last_tick_time_) {
-    STQ_LOG(Warning) << "EvaluateTick time went backwards (" << now << " < "
-                     << last_tick_time_ << ")";
-  }
+void ShardedEngine::Tick(Timestamp now, const UpdateBatch& batch,
+                         TickResult* result) {
   ++tick_index_;
-
-  const uint64_t allocs_before = AllocCount();
-
-  result->time = now;
-  result->updates.clear();
-  result->stats = TickStats{};
   TickStats* stats = &result->stats;
   std::vector<Update>* out = &result->updates;
 
   // Adaptive shard rebalancing decides first, on committed router state,
-  // before the pending batch is drained: it installs the new map and
-  // lists the entities to hand off. This tick's pending reports still
-  // sit in the router's buffer and route against the new map below like
-  // any other batch; the handoffs route after them.
+  // before the batch is routed: it installs the new map and lists the
+  // entities to hand off. The batch then routes against the new map like
+  // any other; the handoffs route after it.
   TickScratch& scratch = *scratch_;
   scratch.handoff_objects.clear();
   scratch.handoff_queries.clear();
@@ -909,13 +642,8 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     PhaseTimer rebalance_timer(&stats->rebalance_seconds);
     MaybeRebalance(now, stats);
   }
-  last_tick_time_ = now;
 
   const size_t num_shards = shards_.size();
-  std::vector<PendingObjectUpsert>& upserts = scratch.upserts;
-  std::vector<ObjectId>& removals = scratch.removals;
-  std::vector<PendingQueryChange>& query_changes = scratch.query_changes;
-
   std::vector<char>& touched = scratch.touched;
   touched.assign(num_shards, 0);
   // Per-shard op batches recorded by the route phase and applied inside
@@ -923,6 +651,7 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
   std::vector<std::vector<ShardOp>>& ops = scratch.ops;
   ops.resize(num_shards);
   for (std::vector<ShardOp>& v : ops) v.clear();
+  scratch.inboxes.resize(num_shards);
   // Per-shard capture negatives and leaf delta streams (captures + shard
   // updates), built by the parallel tasks and merged by the chunks below.
   std::vector<std::vector<MergeEntry>>& captures = scratch.captures;
@@ -949,32 +678,16 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
   {
     PhaseTimer route_timer(&stats->shard_route_seconds);
 
-    buffer_.Drain(&upserts, &removals, &query_changes);
-
-    // Deterministic processing order independent of hash-map iteration —
-    // the exact comparators the single-grid engine uses, so histories and
-    // shard-dispatch orders line up.
-    std::sort(upserts.begin(), upserts.end(),
-              [](const PendingObjectUpsert& a, const PendingObjectUpsert& b) {
-                return a.id < b.id;
-              });
-    std::sort(removals.begin(), removals.end());
-    std::sort(query_changes.begin(), query_changes.end(),
-              [](const PendingQueryChange& a, const PendingQueryChange& b) {
-                return a.id < b.id;
-              });
-
     // --- Route removals ---------------------------------------------------
-    for (ObjectId id : removals) {
+    for (ObjectId id : batch.removals) {
       auto it = objects_.find(id);
       STQ_CHECK(it != objects_.end())
           << "buffered removal of unknown object " << id;
       RoutedObject& ro = it->second;
-      if (history_ != nullptr) history_->RecordRemoval(id, now);
       for (int s : ro.shards) {
         ShardOp op;
         op.kind = ShardOp::Kind::kRemoveObject;
-        op.id = id;
+        op.object.id = id;
         ops[s].push_back(op);
         touched[s] = 1;
         removed_from[s].insert(id);
@@ -989,8 +702,7 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     }
 
     // --- Route upserts ----------------------------------------------------
-    for (const PendingObjectUpsert& u : upserts) {
-      if (history_ != nullptr) history_->RecordReport(u.id, u.loc, u.t);
+    for (const PendingObjectUpsert& u : batch.upserts) {
       KnnEvent e;
       e.new_loc = u.loc;
       e.has_new = true;
@@ -1037,8 +749,9 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
       reset_qids.insert(qid);
       for (int s : rq.shards) {
         ShardOp op;
-        op.kind = ShardOp::Kind::kUnregister;
-        op.id = qid;
+        op.kind = ShardOp::Kind::kQueryChange;
+        op.query.kind = QueryChangeKind::kUnregister;
+        op.query.id = qid;
         ops[s].push_back(op);
         touched[s] = 1;
       }
@@ -1047,7 +760,7 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
       ++stats->queries_unregistered;
     };
 
-    for (const PendingQueryChange& c : query_changes) {
+    for (const PendingQueryChange& c : batch.query_changes) {
       switch (c.kind) {
         case QueryChangeKind::kUnregister: {
           drop_routed_query(c.id);
@@ -1137,75 +850,26 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     auto run_one = [&](size_t i) {
       const auto t0 = std::chrono::steady_clock::now();
       const int s = ticked[i];
-      QueryProcessor& shard = *shards_[s];
-      for (const ShardOp& op : ops[s]) {
-        Status st;
-        switch (op.kind) {
-          case ShardOp::Kind::kRemoveObject:
-            st = shard.RemoveObject(op.id);
-            break;
-          case ShardOp::Kind::kUpsert:
-            st = op.predictive
-                     ? shard.UpsertPredictiveObject(op.id, op.loc, op.vel,
-                                                    op.t)
-                     : shard.UpsertObject(op.id, op.loc, op.t);
-            break;
-          case ShardOp::Kind::kRegisterRange:
-            st = shard.RegisterRangeQuery(op.id, op.region);
-            break;
-          case ShardOp::Kind::kRegisterPredictive:
-            st = shard.RegisterPredictiveQuery(op.id, op.region, op.t_from,
-                                               op.t_to);
-            break;
-          case ShardOp::Kind::kRegisterCircle:
-            st = shard.RegisterCircleQuery(op.id, op.loc, op.radius);
-            break;
-          case ShardOp::Kind::kMoveRange:
-            st = shard.MoveRangeQuery(op.id, op.region);
-            break;
-          case ShardOp::Kind::kMovePredictive:
-            st = shard.MovePredictiveQuery(op.id, op.region);
-            break;
-          case ShardOp::Kind::kMoveCircle:
-            st = shard.MoveCircleQuery(op.id, op.loc);
-            break;
-          case ShardOp::Kind::kCapture: {
-            // The departing query's committed answer in this shard turns
-            // all-negative at the router. Reading it here — before the
-            // shard tick — is exact: shard ingestion is buffered, so the
-            // ops above cannot have changed the committed answer.
-            // Objects this shard is removing this tick ship their own
-            // phase-1 negatives and are skipped. Each answer iterates
-            // ascending.
-            const QueryRecord* rec = shard.query_store().Find(op.id);
-            STQ_CHECK(rec != nullptr)
-                << "shard " << s << " lost query " << op.id;
-            for (ObjectId oid : rec->answer) {
-              if (!removed_from[s].contains(oid)) {
-                captures[s].push_back(MergeEntry{op.id, oid, -1, 0});
-              }
-            }
-            continue;
-          }
-          case ShardOp::Kind::kUnregister:
-            st = shard.UnregisterQuery(op.id);
-            break;
-        }
-        STQ_CHECK(st.ok()) << "shard " << s << " rejected buffered op for id "
-                           << op.id << ": " << st.ToString();
-      }
+      GridEngine& shard = *shards_[s];
+      TickScratch::ShardInbox& inbox = scratch.inboxes[s];
+      ApplyShardOps(s, shard, ops[s], removed_from[s], &inbox.pending,
+                    &captures[s]);
       // Captures come out ascending per run: the query changes', then a
       // rebalance's handoffs, which interleave with them in id order.
       std::vector<MergeEntry>& caps = captures[s];
       if (!std::is_sorted(caps.begin(), caps.end(), MergeKeyLess)) {
         std::sort(caps.begin(), caps.end(), MergeKeyLess);
       }
-      shard.EvaluateTickInto(now, &shard_results[s]);
+      inbox.pending.Drain(&inbox.batch);
+      TickResult& shard_result = shard_results[s];
+      shard_result.updates.clear();
+      shard_result.stats = TickStats{};
+      shard.Tick(now, inbox.batch, &shard_result);
       // Built in a local for the same cache-line reason as the merge
       // chunks' outputs below.
       std::vector<MergeEntry> leaf;
       leaf.swap(leaves[s]);
-      BuildLeaf(captures[s], shard_results[s].updates, &leaf);
+      BuildLeaf(captures[s], shard_result.updates, &leaf);
       leaves[s].swap(leaf);
       shard_walls[i] = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
@@ -1439,20 +1103,6 @@ void ShardedEngine::EvaluateTickInto(Timestamp now, TickResult* result) {
     PhaseTimer merge_timer(&stats->shard_merge_seconds);
     MergeCanonicalTails(reset_negatives, scratch.knn_updates, out);
   }
-  for (const Update& u : *out) {
-    if (u.sign == UpdateSign::kPositive) {
-      ++stats->positive_updates;
-    } else {
-      ++stats->negative_updates;
-    }
-  }
-  // Answer footprint over every shard (not just the ticked ones), so the
-  // metric tracks the whole engine's resident answer bytes.
-  stats->bytes_resident = AnswerBytesResident();
-  // The router's own delta — the counter is global (all threads), so this
-  // already covers the per-shard ticks; summing shard results would
-  // double-count.
-  stats->heap_allocations = AllocCount() - allocs_before;
 }
 
 // ---------------------------------------------------------------------------
@@ -1480,9 +1130,7 @@ std::vector<int> ShardedEngine::QueryShards(QueryId id) const {
 Result<std::vector<ObjectId>> ShardedEngine::CurrentAnswer(QueryId id) const {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
+    return UnknownQuery(id);
   }
   const RoutedQuery& rq = it->second;
   if (rq.kind == QueryKind::kKnn) return rq.knn_answer;
@@ -1517,9 +1165,9 @@ bool ShardedEngine::GetAnswerSet(QueryId id, AnswerSet* out) const {
 
 void ShardedEngine::ForEachObjectInfo(
     // stq-lint: allow(alloc-discipline/function): cold introspection walk
-    const std::function<void(const QueryProcessor::ObjectInfo&)>& fn) const {
+    const std::function<void(const ObjectInfo&)>& fn) const {
   for (const auto& [oid, ro] : objects_) {
-    QueryProcessor::ObjectInfo info;
+    ObjectInfo info;
     info.id = oid;
     info.loc = ro.loc;
     info.vel = ro.vel;
@@ -1531,9 +1179,9 @@ void ShardedEngine::ForEachObjectInfo(
 
 void ShardedEngine::ForEachQueryInfo(
     // stq-lint: allow(alloc-discipline/function): cold introspection walk
-    const std::function<void(const QueryProcessor::QueryInfo&)>& fn) const {
+    const std::function<void(const QueryInfo&)>& fn) const {
   for (const auto& [qid, rq] : queries_) {
-    QueryProcessor::QueryInfo info;
+    QueryInfo info;
     info.id = qid;
     info.kind = rq.kind;
     info.region = rq.region;
@@ -1551,9 +1199,7 @@ Result<std::vector<ObjectId>> ShardedEngine::EvaluateFromScratch(
     QueryId id) const {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    std::ostringstream os;
-    os << "query " << id << " unknown";
-    return Status::NotFound(os.str());
+    return UnknownQuery(id);
   }
   const RoutedQuery& rq = it->second;
   std::vector<ObjectId> answer;
@@ -1613,15 +1259,6 @@ std::vector<KnnEvaluator::Neighbor> ShardedEngine::SearchKnn(
     }
   }
   return merged;
-}
-
-Result<std::vector<ObjectId>> ShardedEngine::EvaluatePastRangeQuery(
-    const Rect& region, Timestamp t) const {
-  if (history_ == nullptr) {
-    return Status::FailedPrecondition(
-        "past queries require QueryProcessorOptions::record_history");
-  }
-  return history_->RangeAt(ClampRegion(region), t);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // ShardedEngine: the sharded shared-execution engine.
 //
 // The universe is partitioned into S rectangular shards (ShardMap). Each
-// shard owns a complete single-grid QueryProcessor — its own GridIndex,
-// object/query/answer stores — and runs its incremental tick
-// independently; shards with pending work tick in parallel on the
-// engine's ThreadPool. A router in front of the shards:
+// shard is a plain GridEngine — its own GridIndex, object/query/answer
+// stores — and runs its incremental tick independently; shards with
+// pending work tick in parallel on the engine's ThreadPool. The engine
+// implements QueryEngine: QueryProcessor checks and buffers every call
+// once and hands each tick's drained batch to the router, which
 //
 //   * routes incoming object updates and query regions to the minimal
 //     set of shards that can ever observe them (the paper's
@@ -31,8 +32,8 @@
 //     refcount transitions of its own queries and writes its own output;
 //   * concatenates the chunk outputs in query order, which is already the
 //     canonical order of CanonicalizeUpdates — byte-identical to the
-//     single-grid QueryProcessor's stream, the property the sharded
-//     differential tests pin down.
+//     single GridEngine's stream, the property the sharded differential
+//     tests pin down.
 //
 // Answers are read straight from the shards: a query's committed answer
 // is the union of its shards' answer sets.
@@ -55,13 +56,14 @@
 // Concurrency contract: shard state carries no locks by design. The
 // tick's serial route phase only computes routing decisions and records
 // per-shard operation batches; the expensive work — applying each
-// shard's batch (ingestion), the shard tick itself, and building the
-// shard's sorted merge-delta stream — runs inside the shard's pool
-// task, claimed via ThreadPool::RunDynamic (work-stealing over the
-// touched shards, largest batch first, so a straggler never serializes
-// the tick behind a static partition). Whichever worker claims a shard
-// owns that shard's QueryProcessor and output slots exclusively until
-// the join; router maps and scratch are written only by the caller
+// shard's batch to the shard's own UpdateBuffer (the same Add* calls,
+// so per-shard coalescing is the front door's), the shard tick itself,
+// and building the shard's sorted merge-delta stream — runs inside the
+// shard's pool task, claimed via ThreadPool::RunDynamic (work-stealing
+// over the touched shards, largest batch first, so a straggler never
+// serializes the tick behind a static partition). Whichever worker
+// claims a shard owns that shard's GridEngine, buffer and output slots
+// exclusively until the join; router maps and scratch are written only by the caller
 // thread between forks, and the parallel tasks read them strictly
 // read-only. The fork and join barriers inside ThreadPool::RunShards
 // (which RunDynamic is built on) run under the pool's annotated
@@ -77,100 +79,67 @@
 #ifndef STQ_CORE_SHARDED_SERVER_H_
 #define STQ_CORE_SHARDED_SERVER_H_
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "stq/common/flat_hash.h"
-#include "stq/common/result.h"
 #include "stq/common/small_vector.h"
-#include "stq/common/status.h"
 #include "stq/common/thread_pool.h"
-#include "stq/core/history_store.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/knn_evaluator.h"
 #include "stq/core/options.h"
-#include "stq/core/query_processor.h"
-#include "stq/core/types.h"
-#include "stq/core/update_buffer.h"
+#include "stq/core/query_engine.h"
 #include "stq/grid/shard_map.h"
 
 namespace stq {
 
-class ShardedEngine {
+class ShardedEngine final : public QueryEngine {
  public:
-  // `options.num_shards` must be >= 2 (QueryProcessor handles 1 itself).
+  // `options.num_shards` must be >= 2 (QueryProcessor drives a single
+  // GridEngine itself).
   explicit ShardedEngine(const QueryProcessorOptions& options);
-  ~ShardedEngine();  // out of line: TickScratch is incomplete here
+  ~ShardedEngine() override;  // out of line: TickScratch is incomplete here
 
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  // --- Mirror of the QueryProcessor ingestion API ---------------------------
-  // Same buffering, coalescing, clamping and validation semantics; both
-  // engines accept/reject every call identically (the differential tests
-  // rely on this to keep workloads in lockstep).
-
-  Status UpsertObject(ObjectId id, const Point& loc, Timestamp t);
-  Status UpsertPredictiveObject(ObjectId id, const Point& loc,
-                                const Velocity& vel, Timestamp t);
-  Status RemoveObject(ObjectId id);
-
-  Status RegisterRangeQuery(QueryId id, const Rect& region);
-  Status MoveRangeQuery(QueryId id, const Rect& region);
-  Status RegisterKnnQuery(QueryId id, const Point& center, int k);
-  Status MoveKnnQuery(QueryId id, const Point& center);
-  Status RegisterCircleQuery(QueryId id, const Point& center, double radius);
-  Status MoveCircleQuery(QueryId id, const Point& center);
-  Status RegisterPredictiveQuery(QueryId id, const Rect& region, double t_from,
-                                 double t_to);
-  Status MovePredictiveQuery(QueryId id, const Rect& region);
-  Status UnregisterQuery(QueryId id);
-
-  TickResult EvaluateTick(Timestamp now);
-  // As EvaluateTick, but reuses `result`'s buffers (cleared, capacity
-  // kept) — the facade's steady-state entry point.
-  void EvaluateTickInto(Timestamp now, TickResult* result);
-
-  // --- Introspection --------------------------------------------------------
-
-  const QueryProcessorOptions& options() const { return options_; }
-  const ShardMap& shard_map() const { return map_; }
-  int num_shards() const { return map_.num_shards(); }
-  int worker_threads() const {
+  // --- QueryEngine -----------------------------------------------------------
+  std::optional<Timestamp> ObjectReportTime(ObjectId id) const override;
+  std::optional<QueryKind> StoredQueryKind(QueryId id) const override;
+  double CircleRadius(QueryId id) const override;
+  void Tick(Timestamp now, const UpdateBatch& batch,
+            TickResult* result) override;
+  int worker_threads() const override {
     return pool_ == nullptr ? 1 : pool_->num_workers();
   }
-  size_t num_objects() const { return objects_.size(); }
-  size_t num_queries() const { return queries_.size(); }
-  size_t pending_reports() const {
-    return buffer_.pending_object_ops() + buffer_.pending_query_ops();
-  }
-  bool HasQuery(QueryId id) const { return queries_.contains(id); }
+  size_t num_objects() const override { return objects_.size(); }
+  size_t num_queries() const override { return queries_.size(); }
+  Result<std::vector<ObjectId>> CurrentAnswer(QueryId id) const override;
+  bool GetAnswerSet(QueryId id, AnswerSet* out) const override;
+  // Summed bytes_resident over every shard's live answer sets — covers
+  // all shards, ticked or not, so the metric never under-reports.
+  size_t AnswerBytesResident() const override;
+  Result<std::vector<ObjectId>> EvaluateFromScratch(
+      QueryId id) const override;
+  // Router-level views (the router's records, not the shards' copies).
+  void ForEachObjectInfo(
+      // stq-lint: allow(alloc-discipline/function): cold introspection walk
+      const std::function<void(const ObjectInfo&)>& fn) const override;
+  void ForEachQueryInfo(
+      // stq-lint: allow(alloc-discipline/function): cold introspection walk
+      const std::function<void(const QueryInfo&)>& fn) const override;
 
-  const QueryProcessor& shard(int s) const { return *shards_[s]; }
-  QueryProcessor& shard_for_testing(int s) { return *shards_[s]; }
+  // --- Sharding --------------------------------------------------------------
+
+  const ShardMap& shard_map() const { return map_; }
+  int num_shards() const { return map_.num_shards(); }
+
+  const GridEngine& shard(int s) const { return *shards_[s]; }
+  GridEngine& shard_for_testing(int s) { return *shards_[s]; }
 
   // The shards an entity is currently routed to (ascending). Empty when
   // the id is unknown; a k-NN query routes to no shard (router-owned).
   std::vector<int> ObjectShards(ObjectId id) const;
   std::vector<int> QueryShards(QueryId id) const;
-
-  Result<std::vector<ObjectId>> CurrentAnswer(QueryId id) const;
-  bool GetAnswerSet(QueryId id, AnswerSet* out) const;
-  // Summed bytes_resident over every shard's live answer sets — covers
-  // all shards, ticked or not, so the metric never under-reports.
-  size_t AnswerBytesResident() const;
-  Result<std::vector<ObjectId>> EvaluateFromScratch(QueryId id) const;
-
-  // Router-level views matching QueryProcessor::ForEach*Info (iteration
-  // order unspecified; qlist_size is 0 — QLists live in the shards).
-  void ForEachObjectInfo(
-      // stq-lint: allow(alloc-discipline/function): cold introspection walk
-      const std::function<void(const QueryProcessor::ObjectInfo&)>& fn) const;
-  void ForEachQueryInfo(
-      // stq-lint: allow(alloc-discipline/function): cold introspection walk
-      const std::function<void(const QueryProcessor::QueryInfo&)>& fn) const;
 
   // Exact global k nearest neighbours of `center`: home-shard search,
   // then expanding-circle re-dispatch to every shard whose rect lies
@@ -178,16 +147,12 @@ class ShardedEngine {
   std::vector<KnnEvaluator::Neighbor> SearchKnn(const Point& center,
                                                 int k) const;
 
-  const HistoryStore* history() const { return history_.get(); }
-  Result<std::vector<ObjectId>> EvaluatePastRangeQuery(const Rect& region,
-                                                       Timestamp t) const;
-
   // One committed shard-boundary move (adaptive rebalancing). Decisions
   // are a pure function of committed router state at a tick boundary, so
   // every worker count replays the same history — the rebalance
   // differential tests pin this down.
   struct ShardRebalanceEvent {
-    int64_t tick_index = 0;  // EvaluateTick ordinal (1-based) it ran in
+    int64_t tick_index = 0;  // Tick ordinal (1-based) it ran in
     Timestamp time = 0.0;    // the tick's `now`
     std::vector<double> x_edges;
     std::vector<double> y_edges;
@@ -243,13 +208,6 @@ class ShardedEngine {
     FlatMap<ObjectId, int> counts;
   };
 
-  // Ingestion mirrors (same semantics as QueryProcessor's privates).
-  double LatestKnownReportTime(ObjectId id) const;
-  Point ClampLocation(const Point& loc) const;
-  Rect ClampRegion(const Rect& region) const;
-  Status ValidateQueryRegistration(QueryId id) const;
-  Result<QueryKind> EffectiveQueryKind(QueryId id) const;
-
   // The shards `rq` should route to given its current geometry (cleared
   // and refilled; out-params so steady-state routing reuses capacity).
   void RouteShardsOf(const RoutedQuery& rq, ShardList* out) const;
@@ -283,24 +241,20 @@ class ShardedEngine {
   // imbalanced past options_.adaptive.rebalance_imbalance, recompute
   // cell-aligned slab boundaries from the marginal load histograms,
   // install them, and list every object and non-k-NN query whose shard
-  // set changes and that has no pending op this tick; RouteHandoffs
-  // moves those in the same tick. Runs at the top of the tick, before
-  // the pending report batch is drained.
+  // set changes; RouteHandoffs moves those in the same tick. Runs at the
+  // top of the tick, before the batch is routed.
   void MaybeRebalance(Timestamp now, TickStats* stats);
 
   QueryProcessorOptions options_;
   ShardMap map_;
-  std::unique_ptr<HistoryStore> history_;  // null unless record_history
-  std::unique_ptr<ThreadPool> pool_;       // null when worker count is 1
-  std::vector<std::unique_ptr<QueryProcessor>> shards_;
-  UpdateBuffer buffer_;
+  std::unique_ptr<ThreadPool> pool_;  // null when worker count is 1
+  std::vector<std::unique_ptr<GridEngine>> shards_;
   FlatMap<ObjectId, RoutedObject> objects_;
   FlatMap<QueryId, RoutedQuery> queries_;
   // k-NN queries needing re-evaluation at the next tick (focal point
   // moved or freshly registered; object-driven dirtiness is derived from
   // the tick's report batch).
   FlatSet<QueryId> knn_dirty_;
-  Timestamp last_tick_time_ = 0.0;
 
   // Adaptive rebalancing state. The cell-cut vectors mirror the
   // ShardMap's explicit boundaries in global-grid cell-edge indices
@@ -308,10 +262,10 @@ class ShardedEngine {
   std::vector<int> x_cell_cuts_;
   std::vector<int> y_cell_cuts_;
   std::vector<ShardRebalanceEvent> rebalance_history_;
-  int64_t tick_index_ = 0;           // EvaluateTick calls so far
+  int64_t tick_index_ = 0;           // Tick calls so far
   int64_t last_rebalance_tick_ = 0;  // 0 = never; cooldown anchor
 
-  // Tick-scoped scratch reused across EvaluateTick calls; every container
+  // Tick-scoped scratch reused across ticks; every container
   // is cleared before use, so no state carries over — only capacity does
   // (see DESIGN.md, "Memory layout & allocation discipline"). The
   // MergeEntry/KnnEvent element types are private to the .cc, so the

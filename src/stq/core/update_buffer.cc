@@ -1,5 +1,7 @@
 #include "stq/core/update_buffer.h"
 
+#include <algorithm>
+
 namespace stq {
 
 void UpdateBuffer::AddObjectUpsert(const PendingObjectUpsert& upsert) {
@@ -89,17 +91,23 @@ const PendingQueryChange* UpdateBuffer::FindPendingQueryChange(
   return it == query_changes_.end() ? nullptr : &it->second;
 }
 
-void UpdateBuffer::Drain(std::vector<PendingObjectUpsert>* upserts,
-                         std::vector<ObjectId>* removes,
-                         std::vector<PendingQueryChange>* query_changes) {
-  upserts->clear();
-  removes->clear();
-  query_changes->clear();
-  upserts->reserve(object_upserts_.size());
-  for (auto& [id, u] : object_upserts_) upserts->push_back(u);
-  removes->assign(object_removes_.begin(), object_removes_.end());
-  query_changes->reserve(query_changes_.size());
-  for (auto& [id, c] : query_changes_) query_changes->push_back(c);
+void UpdateBuffer::Drain(UpdateBatch* batch) {
+  batch->upserts.clear();
+  batch->upserts.reserve(object_upserts_.size());
+  for (auto& [id, u] : object_upserts_) batch->upserts.push_back(u);
+  std::sort(batch->upserts.begin(), batch->upserts.end(),
+            [](const PendingObjectUpsert& a, const PendingObjectUpsert& b) {
+              return a.id < b.id;
+            });
+  batch->removals.assign(object_removes_.begin(), object_removes_.end());
+  std::sort(batch->removals.begin(), batch->removals.end());
+  batch->query_changes.clear();
+  batch->query_changes.reserve(query_changes_.size());
+  for (auto& [id, c] : query_changes_) batch->query_changes.push_back(c);
+  std::sort(batch->query_changes.begin(), batch->query_changes.end(),
+            [](const PendingQueryChange& a, const PendingQueryChange& b) {
+              return a.id < b.id;
+            });
   Clear();
 }
 

@@ -13,6 +13,7 @@
 #define STQ_CORE_UPDATE_BUFFER_H_
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "stq/common/clock.h"
@@ -53,11 +54,22 @@ struct PendingQueryChange {
   double t_to = 0.0;
 };
 
+// One period's coalesced reports, drained from an UpdateBuffer. Each list
+// is ascending by id, so every consumer processes them in one
+// deterministic order, independent of hash-map iteration.
+struct UpdateBatch {
+  std::vector<PendingObjectUpsert> upserts;
+  std::vector<ObjectId> removals;
+  std::vector<PendingQueryChange> query_changes;
+};
+
 class UpdateBuffer {
  public:
   UpdateBuffer() = default;
   UpdateBuffer(const UpdateBuffer&) = delete;
   UpdateBuffer& operator=(const UpdateBuffer&) = delete;
+  UpdateBuffer(UpdateBuffer&&) = default;
+  UpdateBuffer& operator=(UpdateBuffer&&) = default;
 
   // --- Objects ------------------------------------------------------------
 
@@ -81,6 +93,23 @@ class UpdateBuffer {
     return object_removes_.contains(id);
   }
 
+  // The report time object `id` will hold once the buffer drains into an
+  // engine, or -infinity when it will not exist. `stored()` returns the
+  // engine's report time for the id (std::optional, empty when not
+  // stored) and is called only when the buffer holds nothing for it: a
+  // pending removal wipes the history, and a pending upsert supersedes the
+  // store (it may be older than it when it follows a removal). The buffer
+  // holds at most one of the two per id.
+  template <typename StoredTime>
+  double LatestReportTime(ObjectId id, const StoredTime& stored) const {
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
+    if (HasPendingRemove(id)) return kNone;
+    if (const PendingObjectUpsert* u = FindPendingUpsert(id); u != nullptr) {
+      return u->t;
+    }
+    return stored().value_or(kNone);
+  }
+
   // --- Queries ------------------------------------------------------------
 
   // Merge rules: a Move over a pending Register folds the new geometry
@@ -91,6 +120,12 @@ class UpdateBuffer {
 
   bool HasPendingQueryRegister(QueryId id) const;
   bool HasPendingQueryUnregister(QueryId id) const;
+  // Whether query `id` will be registered once the buffer drains into an
+  // engine that does (`stored`) or does not store it.
+  bool QueryLiveAfterDrain(QueryId id, bool stored) const {
+    return HasPendingQueryRegister(id) ||
+           (stored && !HasPendingQueryUnregister(id));
+  }
 
   // Pending change for `id`, or nullptr. Invalidated by further mutation.
   const PendingQueryChange* FindPendingQueryChange(QueryId id) const;
@@ -109,11 +144,9 @@ class UpdateBuffer {
            query_changes_.empty();
   }
 
-  // Moves all pending work out of the buffer, leaving it empty. Output
-  // order is unspecified (the processor sorts where determinism matters).
-  void Drain(std::vector<PendingObjectUpsert>* upserts,
-             std::vector<ObjectId>* removes,
-             std::vector<PendingQueryChange>* query_changes);
+  // Moves all pending work into `batch` (its lists are cleared first,
+  // capacity kept), each list sorted by id, leaving the buffer empty.
+  void Drain(UpdateBatch* batch);
 
   void Clear();
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "stq/common/random.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 
 namespace stq {
@@ -53,7 +54,7 @@ void DriveRandomTrace(uint64_t seed, size_t num_ticks) {
   ASSERT_TRUE(qp.RegisterRangeQuery(1, Rect{0.2, 0.2, 0.8, 0.8}).ok());
   ASSERT_TRUE(qp.RegisterRangeQuery(2, Rect{0.0, 0.0, 0.4, 0.4}).ok());
 
-  std::vector<int> prev_levels = CellLevels(qp.grid());
+  std::vector<int> prev_levels = CellLevels(qp.grid_engine()->grid());
   std::vector<char> changed_prev(prev_levels.size(), 0);
   size_t total_changes = 0;
 
@@ -87,7 +88,7 @@ void DriveRandomTrace(uint64_t seed, size_t num_ticks) {
     (void)qp.EvaluateTick(now);
 
     // Refinement-tree invariants after every (possible) transition.
-    const Status refinement = qp.grid().CheckRefinement();
+    const Status refinement = qp.grid_engine()->grid().CheckRefinement();
     ASSERT_TRUE(refinement.ok())
         << "seed " << seed << " tick " << tick << ": "
         << refinement.ToString();
@@ -97,7 +98,7 @@ void DriveRandomTrace(uint64_t seed, size_t num_ticks) {
         << invariants.ToString();
 
     // No cell changes resolution in consecutive ticks.
-    const std::vector<int> levels = CellLevels(qp.grid());
+    const std::vector<int> levels = CellLevels(qp.grid_engine()->grid());
     ASSERT_EQ(levels.size(), prev_levels.size());
     for (size_t i = 0; i < levels.size(); ++i) {
       const bool changed_now = levels[i] != prev_levels[i];
@@ -137,7 +138,7 @@ TEST(AdaptivePropertyTest, LevelStepsAreUnitAndBounded) {
   QueryProcessor qp(AdaptiveOptions());
   const int max_level = qp.options().adaptive.max_level;
   double now = 0.0;
-  std::vector<int> prev_levels = CellLevels(qp.grid());
+  std::vector<int> prev_levels = CellLevels(qp.grid_engine()->grid());
   for (size_t tick = 0; tick < 20; ++tick) {
     // A permanent pile-up in one corner: the hot cell should descend one
     // level per cooldown window until max_level.
@@ -150,7 +151,7 @@ TEST(AdaptivePropertyTest, LevelStepsAreUnitAndBounded) {
     }
     now += 1.0;
     (void)qp.EvaluateTick(now);
-    const std::vector<int> levels = CellLevels(qp.grid());
+    const std::vector<int> levels = CellLevels(qp.grid_engine()->grid());
     for (size_t i = 0; i < levels.size(); ++i) {
       EXPECT_LE(std::abs(levels[i] - prev_levels[i]), 1) << "cell " << i;
       EXPECT_GE(levels[i], 0);
@@ -159,8 +160,8 @@ TEST(AdaptivePropertyTest, LevelStepsAreUnitAndBounded) {
     prev_levels = levels;
   }
   // The pile-up drove the corner cell to the maximum level.
-  EXPECT_EQ(qp.grid().CellLevel(CellCoord{0, 0}), max_level);
-  ASSERT_TRUE(qp.grid().CheckRefinement().ok());
+  EXPECT_EQ(qp.grid_engine()->grid().CellLevel(CellCoord{0, 0}), max_level);
+  ASSERT_TRUE(qp.grid_engine()->grid().CheckRefinement().ok());
 }
 
 // Draining a refined region merges it back to level 0 (and the grid
@@ -175,7 +176,7 @@ TEST(AdaptivePropertyTest, DrainedCellsMergeBackToUniform) {
     now += 1.0;
     (void)qp.EvaluateTick(now);
   }
-  EXPECT_GT(qp.grid().num_refined_cells(), 0u);
+  EXPECT_GT(qp.grid_engine()->grid().num_refined_cells(), 0u);
 
   // Spread everything far away and let the refiner drain the corner.
   for (size_t tick = 0; tick < 12; ++tick) {
@@ -188,9 +189,9 @@ TEST(AdaptivePropertyTest, DrainedCellsMergeBackToUniform) {
     }
     now += 1.0;
     (void)qp.EvaluateTick(now);
-    ASSERT_TRUE(qp.grid().CheckRefinement().ok());
+    ASSERT_TRUE(qp.grid_engine()->grid().CheckRefinement().ok());
   }
-  EXPECT_EQ(qp.grid().CellLevel(CellCoord{0, 0}), 0);
+  EXPECT_EQ(qp.grid_engine()->grid().CellLevel(CellCoord{0, 0}), 0);
   ASSERT_TRUE(qp.CheckInvariants().ok());
 }
 

@@ -9,6 +9,7 @@
 #include "stq/baseline/snapshot_processor.h"
 #include "stq/common/random.h"
 #include "stq/core/client.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 #include "stq/storage/persistent_server.h"
 
@@ -194,7 +195,8 @@ TEST(CircleQueryTest, SurvivesCrashRecovery) {
   }
   PersistentServer recovered(options);
   ASSERT_TRUE(recovered.Open().ok());
-  const QueryRecord* q = recovered.processor().query_store().Find(1);
+  const QueryRecord* q =
+      recovered.processor().grid_engine()->query_store().Find(1);
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->kind, QueryKind::kCircleRange);
   EXPECT_DOUBLE_EQ(q->circle.radius, 0.2);

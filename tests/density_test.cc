@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "stq/core/density_monitor.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 
 namespace stq {
@@ -75,7 +76,7 @@ TEST(DensityMonitorTest, WorksOnTopOfQueryProcessorGrid) {
   QueryProcessorOptions options;
   options.grid_cells_per_side = 8;
   QueryProcessor qp(options);
-  DensityMonitor monitor(&qp.grid(), 5);
+  DensityMonitor monitor(&qp.grid_engine()->grid(), 5);
 
   // A hotspot forms at the city center.
   for (ObjectId id = 1; id <= 6; ++id) {

@@ -4,11 +4,16 @@
 // here asserts specific answers — the properties are (a) no crash, (b)
 // every call returns a Status rather than corrupting state, (c) every
 // call carrying a NaN or infinite value is rejected with
-// InvalidArgument, and (d) the engine's invariants hold after every
-// evaluation.
+// InvalidArgument, (d) the engine's invariants hold after every
+// evaluation, and (e) no accepted input is silently dropped: after a
+// tick the engine holds exactly the objects and queries the accepted
+// calls leave behind.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -81,6 +86,29 @@ void ConfigureEngine(Engine engine, QueryProcessorOptions* options) {
   }
 }
 
+// A shadow model of the accepted calls: the last accepted report of each
+// object (its location clamped into the space) minus accepted removals,
+// and the accepted registrations minus unregistrations.
+struct AcceptedModel {
+  std::map<ObjectId, Point> objects;
+  std::set<QueryId> queries;
+};
+
+// After a tick the engine must hold exactly what the model holds: an
+// accepted call is either represented or was rejected, never dropped.
+void ExpectRepresented(const QueryProcessor& qp, const AcceptedModel& model,
+                       int step) {
+  std::map<ObjectId, Point> objects;
+  qp.ForEachObjectInfo([&](const QueryProcessor::ObjectInfo& o) {
+    objects.emplace(o.id, o.loc);
+  });
+  std::set<QueryId> queries;
+  qp.ForEachQueryInfo(
+      [&](const QueryProcessor::QueryInfo& q) { queries.insert(q.id); });
+  EXPECT_EQ(objects, model.objects) << "step " << step;
+  EXPECT_EQ(queries, model.queries) << "step " << step;
+}
+
 // (seed, engine)
 class ApiFuzz
     : public ::testing::TestWithParam<std::tuple<uint64_t, Engine>> {};
@@ -98,6 +126,12 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
   const ObjectId max_object = 30;
   const QueryId max_query = 15;
   double now = 0.0;
+  AcceptedModel model;
+  auto clamped = [&](const Point& p) {
+    const Rect& b = options.bounds;
+    return Point{std::clamp(p.x, b.min_x, b.max_x),
+                 std::clamp(p.y, b.min_y, b.max_y)};
+  };
 
   for (int step = 0; step < 3000; ++step) {
     const ObjectId oid = 1 + rng.NextUint64(max_object);
@@ -111,21 +145,24 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
       case 0:
         st = qp.UpsertObject(oid, p, t);
         ExpectVerdict(IsFinite(p) && std::isfinite(t), st, step);
+        if (st.ok()) model.objects[oid] = clamped(p);
         break;
       case 1: {
         const Velocity v{Draw(&rng, -0.1, 0.1), Draw(&rng, -0.1, 0.1)};
         st = qp.UpsertPredictiveObject(oid, p, v, t);
         ExpectVerdict(IsFinite(p) && IsFinite(v) && std::isfinite(t), st,
                       step);
+        if (st.ok()) model.objects[oid] = clamped(p);
         break;
       }
       case 2:
-        (void)qp.RemoveObject(oid);
+        if (qp.RemoveObject(oid).ok()) model.objects.erase(oid);
         break;
       case 3: {
         const Rect region = Rect::CenteredSquare(p, Draw(&rng, -0.1, 0.4));
         st = qp.RegisterRangeQuery(qid, region);
         ExpectVerdict(IsFinite(region), st, step);
+        if (st.ok()) model.queries.insert(qid);
         break;
       }
       case 4: {
@@ -137,6 +174,7 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
       case 5:
         st = qp.RegisterKnnQuery(qid, p, rng.NextInt(-2, 8));
         ExpectVerdict(IsFinite(p), st, step);
+        if (st.ok()) model.queries.insert(qid);
         break;
       case 6:
         st = qp.MoveKnnQuery(qid, p);
@@ -150,12 +188,14 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
         ExpectVerdict(IsFinite(region) && std::isfinite(t_from) &&
                           std::isfinite(t_to),
                       st, step);
+        if (st.ok()) model.queries.insert(qid);
         break;
       }
       case 8: {
         const double radius = Draw(&rng, -0.05, 0.3);
         st = qp.RegisterCircleQuery(qid, p, radius);
         ExpectVerdict(IsFinite(p) && std::isfinite(radius), st, step);
+        if (st.ok()) model.queries.insert(qid);
         break;
       }
       case 9:
@@ -163,7 +203,7 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
         ExpectVerdict(IsFinite(p), st, step);
         break;
       case 10:
-        (void)qp.UnregisterQuery(qid);
+        if (qp.UnregisterQuery(qid).ok()) model.queries.erase(qid);
         break;
       case 11: {
         now += rng.NextDouble(0.0, 2.0);
@@ -175,11 +215,13 @@ TEST_P(ApiFuzz, ProcessorSurvivesRandomCallSequences) {
       now += 1.0;
       qp.EvaluateTick(now);
       ASSERT_TRUE(qp.CheckInvariants().ok()) << "step " << step;
+      ExpectRepresented(qp, model, step);
     }
   }
   now += 1.0;
   qp.EvaluateTick(now);
   EXPECT_TRUE(qp.CheckInvariants().ok());
+  ExpectRepresented(qp, model, 3000);
   // The rebalancing engine must actually have handed entities off (a
   // one-cell grid cannot place a cut).
   if (std::get<1>(GetParam()) == Engine::kTwoShardsRebalancing &&

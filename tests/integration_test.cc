@@ -1,7 +1,6 @@
 // Full-system integration and soak tests: realistic workloads driving the
 // complete stack (generators -> persistent server -> clients) for many
-// periods, with all invariants checked along the way, plus the engine
-// statistics module.
+// periods, with all invariants checked along the way.
 
 #include <memory>
 #include <string>
@@ -12,7 +11,7 @@
 #include "stq/common/random.h"
 #include "stq/core/client.h"
 #include "stq/core/density_monitor.h"
-#include "stq/core/stats.h"
+#include "stq/core/grid_engine.h"
 #include "stq/gen/gaussian_generator.h"
 #include "stq/gen/network_generator.h"
 #include "stq/gen/query_generator.h"
@@ -21,43 +20,6 @@
 
 namespace stq {
 namespace {
-
-// --- EngineStats ----------------------------------------------------------------
-
-TEST(EngineStatsTest, CountsPopulationsAndAnswers) {
-  QueryProcessor qp;
-  ASSERT_TRUE(qp.UpsertObject(1, Point{0.5, 0.5}, 0.0).ok());
-  ASSERT_TRUE(qp.UpsertPredictiveObject(2, Point{0.1, 0.1},
-                                        Velocity{0.01, 0.0}, 0.0).ok());
-  ASSERT_TRUE(qp.RegisterRangeQuery(1, Rect{0.4, 0.4, 0.6, 0.6}).ok());
-  ASSERT_TRUE(qp.RegisterKnnQuery(2, Point{0.5, 0.5}, 2).ok());
-  ASSERT_TRUE(
-      qp.RegisterPredictiveQuery(3, Rect{0.0, 0.0, 1.0, 1.0}, 0.0, 10.0)
-          .ok());
-  qp.EvaluateTick(0.0);
-
-  const EngineStats stats = ComputeEngineStats(qp);
-  EXPECT_EQ(stats.num_objects, 2u);
-  EXPECT_EQ(stats.num_predictive_objects, 1u);
-  EXPECT_EQ(stats.num_queries, 3u);
-  EXPECT_EQ(stats.num_range_queries, 1u);
-  EXPECT_EQ(stats.num_knn_queries, 1u);
-  EXPECT_EQ(stats.num_predictive_queries, 1u);
-  // Range: {1}; knn: {1,2}; predictive: {1,2} (both trajectories pass).
-  EXPECT_EQ(stats.total_answer_entries, 5u);
-  EXPECT_EQ(stats.total_qlist_entries, stats.total_answer_entries);
-  EXPECT_EQ(stats.max_answer_size, 2u);
-  EXPECT_GT(stats.approx_memory_bytes, 0u);
-  EXPECT_NE(stats.DebugString().find("objects=2"), std::string::npos);
-}
-
-TEST(EngineStatsTest, EmptyEngine) {
-  QueryProcessor qp;
-  const EngineStats stats = ComputeEngineStats(qp);
-  EXPECT_EQ(stats.num_objects, 0u);
-  EXPECT_EQ(stats.num_queries, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_answer_size, 0.0);
-}
 
 // --- Long soak over the full stack -------------------------------------------------
 
@@ -104,7 +66,7 @@ TEST(SoakTest, FullStackManyPeriods) {
   }
   for (const auto& d : ops.Tick(0.0)) client.ApplyUpdates(d.updates);
 
-  DensityMonitor density(&ops.processor().grid(), 8);
+  DensityMonitor density(&ops.processor().grid_engine()->grid(), 8);
   Xorshift128Plus rng(23);
   bool connected = true;
 
@@ -154,9 +116,8 @@ TEST(SoakTest, FullStackManyPeriods) {
   ASSERT_TRUE(past.ok());
   EXPECT_FALSE(past->empty());
 
-  const EngineStats stats = ComputeEngineStats(ops.processor());
-  EXPECT_EQ(stats.num_objects, 400u);
-  EXPECT_EQ(stats.num_queries, 60u);
+  EXPECT_EQ(ops.processor().num_objects(), 400u);
+  EXPECT_EQ(ops.processor().num_queries(), 60u);
 
   ASSERT_TRUE(ops.Close().ok());
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/server.h"
 
@@ -63,9 +64,10 @@ TEST(InvariantAuditorTest, RequiresDrainedBuffer) {
 TEST(InvariantAuditorTest, DetectsBrokenQListPairing) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
   // Object 1 satisfies range query 10; scrub the query from its QList.
-  ObjectRecord* o = qp.object_store_for_testing().FindMutable(1);
+  ObjectRecord* o = engine.object_store_for_testing().FindMutable(1);
   ASSERT_NE(o, nullptr);
   ASSERT_TRUE(ObjectStore::RemoveQuery(o, 10));
 
@@ -79,9 +81,10 @@ TEST(InvariantAuditorTest, DetectsBrokenQListPairing) {
 TEST(InvariantAuditorTest, DetectsPhantomAnswerObject) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
   // Plant an object id that does not exist into a stored answer.
-  QueryRecord* q = qp.query_store_for_testing().FindMutable(10);
+  QueryRecord* q = engine.query_store_for_testing().FindMutable(10);
   ASSERT_NE(q, nullptr);
   q->answer.insert(999);
 
@@ -94,10 +97,11 @@ TEST(InvariantAuditorTest, DetectsPhantomAnswerObject) {
 TEST(InvariantAuditorTest, DetectsDroppedQListEntryBothDirections) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
   // Inverse of DetectsBrokenQListPairing: the QList claims a query whose
   // answer does not contain the object.
-  ObjectRecord* o = qp.object_store_for_testing().FindMutable(3);
+  ObjectRecord* o = engine.object_store_for_testing().FindMutable(3);
   ASSERT_NE(o, nullptr);
   ASSERT_TRUE(ObjectStore::AddQuery(o, 10));
 
@@ -111,11 +115,12 @@ TEST(InvariantAuditorTest, DetectsDroppedQListEntryBothDirections) {
 TEST(InvariantAuditorTest, DetectsMissingGridObjectEntry) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
   // Remove object 2 from the grid while its store record survives.
-  const ObjectRecord* o = qp.object_store().Find(2);
+  const ObjectRecord* o = engine.object_store().Find(2);
   ASSERT_NE(o, nullptr);
-  qp.grid_for_testing().RemoveObject(2, o->loc);
+  engine.grid_for_testing().RemoveObject(2, o->loc);
 
   const AuditReport report = InvariantAuditor().AuditProcessor(qp);
   ASSERT_FALSE(report.ok());
@@ -128,10 +133,11 @@ TEST(InvariantAuditorTest, DetectsMissingGridObjectEntry) {
 TEST(InvariantAuditorTest, DetectsDuplicateGridObjectEntry) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
-  const ObjectRecord* o = qp.object_store().Find(2);
+  const ObjectRecord* o = engine.object_store().Find(2);
   ASSERT_NE(o, nullptr);
-  qp.grid_for_testing().InsertObject(2, o->loc);
+  engine.grid_for_testing().InsertObject(2, o->loc);
 
   const AuditReport report = InvariantAuditor().AuditProcessor(qp);
   ASSERT_FALSE(report.ok());
@@ -142,10 +148,11 @@ TEST(InvariantAuditorTest, DetectsDuplicateGridObjectEntry) {
 TEST(InvariantAuditorTest, DetectsMissingQueryStub) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
-  const QueryRecord* q = qp.query_store().Find(10);
+  const QueryRecord* q = engine.query_store().Find(10);
   ASSERT_NE(q, nullptr);
-  qp.grid_for_testing().RemoveQuery(10, q->grid_footprint);
+  engine.grid_for_testing().RemoveQuery(10, q->grid_footprint);
 
   const AuditReport report = InvariantAuditor().AuditProcessor(qp);
   ASSERT_FALSE(report.ok());
@@ -156,14 +163,15 @@ TEST(InvariantAuditorTest, DetectsMissingQueryStub) {
 TEST(InvariantAuditorTest, DetectsAnswerDivergenceFromScratch) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
   // Teleport object 3 in the store (and grid, so the structural checks
   // stay quiet): the stored answers no longer match a re-evaluation.
-  ObjectRecord* o = qp.object_store_for_testing().FindMutable(3);
+  ObjectRecord* o = engine.object_store_for_testing().FindMutable(3);
   ASSERT_NE(o, nullptr);
   const Point old_loc = o->loc;
   o->loc = Point{0.31, 0.31};  // now inside range query 10's region
-  qp.grid_for_testing().MoveObject(3, old_loc, o->loc);
+  engine.grid_for_testing().MoveObject(3, old_loc, o->loc);
 
   const AuditReport report = InvariantAuditor().AuditProcessor(qp);
   ASSERT_FALSE(report.ok());
@@ -180,11 +188,12 @@ TEST(InvariantAuditorTest, DetectsAnswerDivergenceFromScratch) {
 TEST(InvariantAuditorTest, ViolationCapLimitsReportSize) {
   QueryProcessor qp(SmallOptions());
   Populate(&qp);
+  GridEngine& engine = *qp.grid_engine_for_testing();
 
   // Corrupt many pairings at once; the report stays bounded.
-  qp.query_store_for_testing().ForEach([](const QueryRecord&) {});
+  engine.query_store_for_testing().ForEach([](const QueryRecord&) {});
   for (ObjectId oid = 100; oid < 200; ++oid) {
-    QueryRecord* q = qp.query_store_for_testing().FindMutable(10);
+    QueryRecord* q = engine.query_store_for_testing().FindMutable(10);
     q->answer.insert(oid);
   }
   InvariantAuditor::Options opts;
@@ -227,8 +236,10 @@ TEST(InvariantAuditorDeathTest, PostTickHookAbortsOnCorruption) {
   ASSERT_TRUE(server.ReportObject(1, Point{0.3, 0.3}, 0.0).ok());
   server.Tick(1.0);  // clean: the hook passes
 
-  QueryRecord* q =
-      server.processor().query_store_for_testing().FindMutable(10);
+  QueryRecord* q = server.processor()
+                       .grid_engine_for_testing()
+                       ->query_store_for_testing()
+                       .FindMutable(10);
   ASSERT_NE(q, nullptr);
   q->answer.insert(999);
   EXPECT_DEATH(server.Tick(2.0), "post-tick invariant audit failed");

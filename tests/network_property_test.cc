@@ -12,6 +12,7 @@
 
 #include "stq/common/random.h"
 #include "stq/core/client.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 #include "stq/gen/network_generator.h"
 #include "stq/gen/query_generator.h"
@@ -114,7 +115,7 @@ TEST_P(NetworkMotionProperty, AllKindsConsistentUnderRoadMotion) {
     }
     for (const ObjectReport& r : focals.Step(now, 5.0, 0.7)) {
       const QueryId qid = r.id;
-      const QueryRecord* q = qp.query_store().Find(qid);
+      const QueryRecord* q = qp.grid_engine()->query_store().Find(qid);
       ASSERT_NE(q, nullptr);
       switch (q->kind) {
         case QueryKind::kRange:

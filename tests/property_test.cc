@@ -15,6 +15,7 @@
 
 #include "stq/common/random.h"
 #include "stq/core/client.h"
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 
 namespace stq {
@@ -454,7 +455,7 @@ TEST(MixedProperty, AllKindsStayConsistentOverTime) {
     }
     for (QueryId qid : queries) {
       if (!rng.NextBool(0.3)) continue;
-      const QueryRecord* q = qp.query_store().Find(qid);
+      const QueryRecord* q = qp.grid_engine()->query_store().Find(qid);
       ASSERT_NE(q, nullptr);
       switch (q->kind) {
         case QueryKind::kRange:

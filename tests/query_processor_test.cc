@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 
 namespace stq {
@@ -74,7 +75,7 @@ TEST(QueryProcessorTest, StaleReportAgainstPendingUpsertRejected) {
   const TickResult r = qp.EvaluateTick(6.0);
   // The t=5 report survived: the object is inside the query.
   EXPECT_EQ(r.updates, std::vector<Update>{Update::Positive(1, 1)});
-  EXPECT_EQ(qp.object_store().Find(1)->t, 5.0);
+  EXPECT_EQ(qp.grid_engine()->object_store().Find(1)->t, 5.0);
 }
 
 TEST(QueryProcessorTest, StaleCheckAfterRemoveThenUpsertUsesPendingTime) {
@@ -88,7 +89,7 @@ TEST(QueryProcessorTest, StaleCheckAfterRemoveThenUpsertUsesPendingTime) {
   EXPECT_TRUE(qp.UpsertObject(1, Point{0.2, 0.2}, 2.0).IsInvalidArgument());
   EXPECT_TRUE(qp.UpsertObject(1, Point{0.2, 0.2}, 4.0).ok());
   qp.EvaluateTick(11.0);
-  EXPECT_EQ(qp.object_store().Find(1)->t, 4.0);
+  EXPECT_EQ(qp.grid_engine()->object_store().Find(1)->t, 4.0);
 }
 
 TEST(QueryProcessorTest, RemoveUnknownObjectFails) {
@@ -182,7 +183,7 @@ TEST(QueryProcessorTest, UnregisterDropsSilently) {
   EXPECT_TRUE(r.updates.empty());  // the client dropped the answer itself
   EXPECT_EQ(qp.num_queries(), 0u);
   // The object's QList must have been scrubbed.
-  EXPECT_TRUE(qp.object_store().Find(1)->queries.empty());
+  EXPECT_TRUE(qp.grid_engine()->object_store().Find(1)->queries.empty());
   EXPECT_TRUE(qp.CheckInvariants().ok());
 }
 

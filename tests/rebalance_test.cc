@@ -296,7 +296,7 @@ TEST(RebalanceTest, HandoffTickCarriesCrossingOps) {
         EXPECT_EQ(engine.QueryShards(id), std::vector<int>{1}) << id;
       }
       EXPECT_EQ(engine.QueryShards(4), (std::vector<int>{0, 1}));
-      EXPECT_FALSE(engine.HasQuery(2));
+      EXPECT_FALSE(qp.HasQuery(2));
     });
     if (HasFatalFailure()) return;
   }

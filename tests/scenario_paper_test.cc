@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stq/core/grid_engine.h"
 #include "stq/core/query_processor.h"
 #include "stq/core/server.h"
 #include "stq/core/client.h"
@@ -115,7 +116,7 @@ TEST(Figure2KnnQueries, ReproducesPaperUpdateStream) {
 
   // Unlike range queries, k-NN regions change size over time: Q2's circle
   // now reaches p8.
-  const QueryRecord* q2 = qp.query_store().Find(2);
+  const QueryRecord* q2 = qp.grid_engine()->query_store().Find(2);
   ASSERT_NE(q2, nullptr);
   EXPECT_NEAR(q2->circle.radius, 0.10, 1e-9);
 

@@ -5,6 +5,7 @@
 // counts, shard state drifting from the router's record, a k-NN answer
 // diverging from the cross-shard search — is reported, both through
 // AuditCrossShard directly and through the public CheckInvariants path.
+// A routed op the shard cannot take aborts the tick.
 
 #include <sstream>
 #include <string>
@@ -77,7 +78,7 @@ TEST(ShardedInvariantTest, DetectsObjectMissingFromRoutedShard) {
   // "loses" the object while the router still counts it.
   const std::vector<int> shards = engine->ObjectShards(3);
   ASSERT_EQ(shards.size(), 1u);
-  QueryProcessor& shard = engine->shard_for_testing(shards[0]);
+  GridEngine& shard = engine->shard_for_testing(shards[0]);
   const ObjectRecord* rec = shard.object_store().Find(3);
   ASSERT_NE(rec, nullptr);
   shard.grid_for_testing().RemoveObject(3, rec->loc);
@@ -104,7 +105,7 @@ TEST(ShardedInvariantTest, DetectsShardAnswerRefcountMismatch) {
   // only the router-level refcount comparison can notice the loss.
   const std::vector<int> shards = engine->ObjectShards(1);
   ASSERT_EQ(shards.size(), 1u);
-  QueryProcessor& shard = engine->shard_for_testing(shards[0]);
+  GridEngine& shard = engine->shard_for_testing(shards[0]);
   QueryRecord* q = shard.query_store_for_testing().FindMutable(10);
   ASSERT_NE(q, nullptr);
   ASSERT_EQ(q->answer.erase(1), 1u);
@@ -132,7 +133,7 @@ TEST(ShardedInvariantTest, DetectsPerShardCorruptionWithShardPrefix) {
   // object) is caught by the per-shard audit and attributed to the shard.
   const std::vector<int> shards = engine->QueryShards(10);
   ASSERT_FALSE(shards.empty());
-  QueryProcessor& shard = engine->shard_for_testing(shards[0]);
+  GridEngine& shard = engine->shard_for_testing(shards[0]);
   QueryRecord* q = shard.query_store_for_testing().FindMutable(10);
   ASSERT_NE(q, nullptr);
   q->answer.insert(999);
@@ -183,7 +184,7 @@ TEST(ShardedInvariantTest, DetectsKnnAnswerDivergence) {
   // into the top-2, so the router's committed k-NN answer disagrees.
   const std::vector<int> shards = engine->ObjectShards(2);
   ASSERT_EQ(shards.size(), 1u);
-  QueryProcessor& shard = engine->shard_for_testing(shards[0]);
+  GridEngine& shard = engine->shard_for_testing(shards[0]);
   ObjectRecord* o = shard.object_store_for_testing().FindMutable(2);
   ASSERT_NE(o, nullptr);
   const Point old_loc = o->loc;
@@ -199,6 +200,30 @@ TEST(ShardedInvariantTest, DetectsKnnAnswerDivergence) {
       << report.ToString();
   EXPECT_NE(report.ToString().find("cross-shard search"), std::string::npos)
       << report.ToString();
+}
+
+// The router checks every op it routes against what the target shard
+// holds. The front door has checked every call, so an op a shard cannot
+// take is a router/shard divergence: the tick aborts and names the shard
+// and the id.
+TEST(ShardedInvariantDeathTest, ShardMissingARoutedObjectAbortsTheTick) {
+  QueryProcessor qp(ShardedOptions());
+  Populate(&qp);
+  ShardedEngine* engine = qp.sharded_engine_for_testing();
+
+  const std::vector<int> shards = engine->ObjectShards(3);
+  ASSERT_EQ(shards.size(), 1u);
+  GridEngine& shard = engine->shard_for_testing(shards[0]);
+  const ObjectRecord* rec = shard.object_store().Find(3);
+  ASSERT_NE(rec, nullptr);
+  shard.grid_for_testing().RemoveObject(3, rec->loc);
+  shard.object_store_for_testing().Erase(3);
+  // The router still holds object 3, so the front door takes the removal.
+  ASSERT_TRUE(qp.RemoveObject(3).ok());
+
+  std::ostringstream expected;
+  expected << "shard " << shards[0] << " cannot take the routed op for id 3";
+  EXPECT_DEATH(qp.EvaluateTick(2.0), expected.str());
 }
 
 TEST(ShardedInvariantTest, ViolationCapLimitsReportSize) {

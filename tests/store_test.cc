@@ -86,12 +86,10 @@ TEST(UpdateBufferTest, ObjectUpsertsCoalesceLastWins) {
   buffer.AddObjectUpsert(PendingObjectUpsert{1, Point{0.1, 0.1}, {}, 0.0, false});
   buffer.AddObjectUpsert(PendingObjectUpsert{1, Point{0.9, 0.9}, {}, 1.0, false});
   EXPECT_EQ(buffer.pending_object_ops(), 1u);
-  std::vector<PendingObjectUpsert> upserts;
-  std::vector<ObjectId> removes;
-  std::vector<PendingQueryChange> changes;
-  buffer.Drain(&upserts, &removes, &changes);
-  ASSERT_EQ(upserts.size(), 1u);
-  EXPECT_EQ(upserts[0].loc, (Point{0.9, 0.9}));
+  UpdateBatch batch;
+  buffer.Drain(&batch);
+  ASSERT_EQ(batch.upserts.size(), 1u);
+  EXPECT_EQ(batch.upserts[0].loc, (Point{0.9, 0.9}));
   EXPECT_TRUE(buffer.empty());
 }
 
