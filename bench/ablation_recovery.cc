@@ -14,6 +14,8 @@
 // reopened. Sweep: how often Checkpoint() runs. Expected shape: without
 // checkpoints the WAL and the reopen replay grow with history; tighter
 // checkpoint intervals bound both at the cost of rewriting the snapshot.
+// replay_MB_s is the bytes recovery reads (WAL + snapshot) per second of
+// Open(), the restore tick included: the speed of the crash-replay path.
 
 #include <chrono>
 #include <cstdint>
@@ -93,13 +95,16 @@ void RunDurableRecovery(const stq::RoadNetwork& city,
   const double open_ms =
       std::chrono::duration<double, std::milli>(elapsed).count();
   if (!open.ok()) {
-    std::printf("%-16d %14s %14s %10s  (%s)\n",
-                checkpoint_every, "-", "-", "-", open.ToString().c_str());
+    std::printf("%-16d %14s %14s %10s %12s  (%s)\n", checkpoint_every, "-",
+                "-", "-", "-", open.ToString().c_str());
     return;
   }
-  std::printf("%-16d %14.1f %14.1f %9.1f\n", checkpoint_every,
+  const double replay_mb_s =
+      static_cast<double>(wal_bytes + snapshot_bytes) / (1 << 20) /
+      (open_ms / 1000.0);
+  std::printf("%-16d %14.1f %14.1f %10.1f %12.1f\n", checkpoint_every,
               stq_bench::ToKb(wal_bytes), stq_bench::ToKb(snapshot_bytes),
-              open_ms);
+              open_ms, replay_mb_s);
   report->BeginRow();
   stq_bench::ReportResilienceCounters(report);
   report->Value("section", "durable_recovery");
@@ -107,6 +112,7 @@ void RunDurableRecovery(const stq::RoadNetwork& city,
   report->Value("wal_kb", stq_bench::ToKb(wal_bytes));
   report->Value("snapshot_kb", stq_bench::ToKb(snapshot_bytes));
   report->Value("open_ms", open_ms);
+  report->Value("replay_mb_s", replay_mb_s);
   recovered.Close();
 }
 
@@ -207,8 +213,8 @@ int main(int argc, char** argv) {
   std::printf("objects=%zu queries=%zu ticks=%d, crash drops unsynced "
               "state, then reopen\n\n",
               durable_objects, durable_queries, durable_ticks);
-  std::printf("%-16s %14s %14s %10s\n", "ckpt_every", "wal_KB",
-              "snapshot_KB", "open_ms");
+  std::printf("%-16s %14s %14s %10s %12s\n", "ckpt_every", "wal_KB",
+              "snapshot_KB", "open_ms", "replay_MB_s");
 
   stq::RoadNetwork::GridCityOptions city_options;
   city_options.rows = 30;

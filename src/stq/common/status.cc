@@ -28,11 +28,18 @@ std::string_view StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+const std::string& Status::EmptyMessage() {
+  // Constant-initialized (std::string's default constructor is
+  // constexpr), so no first-use guard and no static-init order hazard.
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out(StatusCodeToString(code_));
+  std::string out(StatusCodeToString(error_->code));
   out += ": ";
-  out += message_;
+  out += error_->message;
   return out;
 }
 

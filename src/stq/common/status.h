@@ -1,9 +1,10 @@
 // Status: the error-reporting vocabulary type of the stq library.
 //
 // stq does not use C++ exceptions. Every fallible operation returns a
-// Status (or a Result<T>, see result.h). A Status is cheap to copy in the
-// OK case (a single tagged code) and carries a human-readable message in
-// the error case.
+// Status (or a Result<T>, see result.h). A Status is one pointer, null
+// when OK, so forwarding an OK Status through any number of
+// STQ_RETURN_IF_ERROR levels copies and tests one word; the code and the
+// human-readable message live behind the pointer in the error case.
 //
 // Example:
 //   stq::Status s = wal.Append(record);
@@ -14,6 +15,7 @@
 #ifndef STQ_COMMON_STATUS_H_
 #define STQ_COMMON_STATUS_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -41,13 +43,27 @@ class Status {
   // Constructs an OK status.
   Status() = default;
 
+  // An OK code makes an OK Status; its message is dropped.
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : error_(code == StatusCode::kOk
+                   ? nullptr
+                   : std::make_unique<Error>(Error{code, std::move(message)})) {
+  }
 
-  Status(const Status&) = default;
-  Status& operator=(const Status&) = default;
-  Status(Status&&) = default;
-  Status& operator=(Status&&) = default;
+  Status(const Status& other)
+      : error_(other.error_ == nullptr
+                   ? nullptr
+                   : std::make_unique<Error>(*other.error_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      error_ = other.error_ == nullptr ? nullptr
+                                       : std::make_unique<Error>(*other.error_);
+    }
+    return *this;
+  }
+  // A moved-from Status is OK.
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   // Factory helpers, one per error code.
   static Status OK() { return Status(); }
@@ -79,28 +95,39 @@ class Status {
     return Status(StatusCode::kInternal, std::move(msg));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
-
-  bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsInvalidArgument() const {
-    return code_ == StatusCode::kInvalidArgument;
+  bool ok() const { return error_ == nullptr; }
+  StatusCode code() const {
+    return error_ == nullptr ? StatusCode::kOk : error_->code;
   }
-  bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsIOError() const { return code_ == StatusCode::kIOError; }
-  bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
+  // Empty when OK.
+  const std::string& message() const {
+    return error_ == nullptr ? EmptyMessage() : error_->message;
+  }
+
+  bool IsNotFound() const { return code() == StatusCode::kNotFound; }
+  bool IsInvalidArgument() const {
+    return code() == StatusCode::kInvalidArgument;
+  }
+  bool IsCorruption() const { return code() == StatusCode::kCorruption; }
+  bool IsIOError() const { return code() == StatusCode::kIOError; }
+  bool IsAlreadyExists() const { return code() == StatusCode::kAlreadyExists; }
 
   // "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
   friend bool operator==(const Status& a, const Status& b) {
-    return a.code_ == b.code_ && a.message_ == b.message_;
+    return a.code() == b.code() && a.message() == b.message();
   }
 
  private:
-  StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  struct Error {
+    StatusCode code;
+    std::string message;
+  };
+
+  static const std::string& EmptyMessage();
+
+  std::unique_ptr<Error> error_;  // null iff OK
 };
 
 // Propagates a non-OK status to the caller. Usable only in functions that

@@ -142,6 +142,10 @@ class QueryProcessor {
   size_t pending_reports() const {
     return buffer_.pending_object_ops() + buffer_.pending_query_ops();
   }
+  // The accepted reports the next tick will apply, coalesced per id. The
+  // state the engine holds after that tick is its current state with
+  // these laid over it (see CapturePersistedState).
+  const UpdateBuffer& pending_updates() const { return buffer_; }
   bool HasQuery(QueryId id) const {
     return engine_->StoredQueryKind(id).has_value();
   }

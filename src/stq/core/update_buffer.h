@@ -133,6 +133,17 @@ class UpdateBuffer {
     return query_changes_.contains(id);
   }
 
+  // Visits every pending upsert and every pending query change, in
+  // unspecified order (sort by id for deterministic output).
+  template <typename Fn>
+  void ForEachPendingUpsert(const Fn& fn) const {
+    for (const auto& [id, upsert] : object_upserts_) fn(upsert);
+  }
+  template <typename Fn>
+  void ForEachPendingQueryChange(const Fn& fn) const {
+    for (const auto& [id, change] : query_changes_) fn(change);
+  }
+
   // --- Draining -----------------------------------------------------------
 
   size_t pending_object_ops() const {

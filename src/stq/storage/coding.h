@@ -10,12 +10,26 @@
 
 namespace stq {
 
+// Raw little-endian stores and loads. Spelled out byte by byte, so the
+// layout is the same on every host; compilers fold each into one move on
+// a little-endian target.
+inline void EncodeFixed32(char* dst, uint32_t v) {
+  dst[0] = static_cast<char>(v);
+  dst[1] = static_cast<char>(v >> 8);
+  dst[2] = static_cast<char>(v >> 16);
+  dst[3] = static_cast<char>(v >> 24);
+}
+
+inline uint32_t DecodeFixed32(const char* src) {
+  const auto* p = reinterpret_cast<const unsigned char*>(src);
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  buf[0] = static_cast<char>(v);
-  buf[1] = static_cast<char>(v >> 8);
-  buf[2] = static_cast<char>(v >> 16);
-  buf[3] = static_cast<char>(v >> 24);
+  EncodeFixed32(buf, v);
   dst->append(buf, 4);
 }
 
@@ -49,10 +63,7 @@ inline bool DecodeRemaining(const std::string& src, size_t offset, size_t n) {
 
 inline bool GetFixed32(const std::string& src, size_t* offset, uint32_t* v) {
   if (!DecodeRemaining(src, *offset, 4)) return false;
-  const auto* p = reinterpret_cast<const unsigned char*>(src.data() + *offset);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) |
-       (static_cast<uint32_t>(p[3]) << 24);
+  *v = DecodeFixed32(src.data() + *offset);
   *offset += 4;
   return true;
 }

@@ -1,6 +1,7 @@
 #include "stq/storage/persistent_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "stq/common/flat_hash.h"
 #include "stq/common/logging.h"
@@ -10,16 +11,29 @@ namespace stq {
 PersistedState CapturePersistedState(const Server& server) {
   PersistedState state;
   const QueryProcessor& qp = server.processor();
+  // Reports accepted since the last tick are still buffered, but the WAL
+  // already holds them: lay them over the engine's state, so the capture
+  // equals what WAL replay rebuilds. A pending upsert or removal replaces
+  // the stored object; a pending registration or unregistration replaces
+  // the stored query, and a pending move changes its geometry.
+  const UpdateBuffer& pending = qp.pending_updates();
+  state.objects.reserve(qp.num_objects() + pending.pending_object_ops());
+  state.queries.reserve(qp.num_queries() + pending.pending_query_ops());
+  state.commits.reserve(server.committed().size());
   qp.ForEachObjectInfo([&](const QueryProcessor::ObjectInfo& o) {
-    PersistedObject po;
-    po.id = o.id;
-    po.loc = o.loc;
-    po.vel = o.vel;
-    po.t = o.t;
-    po.predictive = o.predictive;
-    state.objects.push_back(po);
+    if (pending.HasPendingUpsert(o.id) || pending.HasPendingRemove(o.id)) {
+      return;
+    }
+    state.objects.push_back(
+        PersistedObject{o.id, o.loc, o.vel, o.t, o.predictive});
+  });
+  pending.ForEachPendingUpsert([&](const PendingObjectUpsert& u) {
+    state.objects.push_back(
+        PersistedObject{u.id, u.loc, u.vel, u.t, u.predictive});
   });
   qp.ForEachQueryInfo([&](const QueryProcessor::QueryInfo& q) {
+    const PendingQueryChange* change = pending.FindPendingQueryChange(q.id);
+    if (change != nullptr && change->kind != QueryChangeKind::kMove) return;
     PersistedQuery pq;
     pq.id = q.id;
     pq.kind = q.kind;
@@ -31,16 +45,55 @@ PersistedState CapturePersistedState(const Server& server) {
     pq.radius = q.kind == QueryKind::kCircleRange ? q.circle.radius : 0.0;
     pq.t_from = q.t_from;
     pq.t_to = q.t_to;
-    pq.owner = server.OwnerOf(q.id).value_or(0);
+    if (change != nullptr) {
+      if (q.kind == QueryKind::kKnn || q.kind == QueryKind::kCircleRange) {
+        pq.center = change->center;
+      } else {
+        pq.region = change->region;
+      }
+    }
     state.queries.push_back(pq);
   });
+  pending.ForEachPendingQueryChange([&](const PendingQueryChange& c) {
+    PersistedQuery pq;
+    pq.id = c.id;
+    switch (c.kind) {
+      case QueryChangeKind::kRegisterRange:
+        pq.kind = QueryKind::kRange;
+        pq.region = c.region;
+        break;
+      case QueryChangeKind::kRegisterPredictive:
+        pq.kind = QueryKind::kPredictiveRange;
+        pq.region = c.region;
+        pq.t_from = c.t_from;
+        pq.t_to = c.t_to;
+        break;
+      case QueryChangeKind::kRegisterKnn:
+        pq.kind = QueryKind::kKnn;
+        pq.center = c.center;
+        pq.k = c.k;
+        break;
+      case QueryChangeKind::kRegisterCircle:
+        pq.kind = QueryKind::kCircleRange;
+        pq.center = c.center;
+        pq.radius = c.radius;
+        break;
+      case QueryChangeKind::kMove:
+      case QueryChangeKind::kUnregister:
+        return;  // applied to (or dropped from) the stored queries above
+    }
+    state.queries.push_back(pq);
+  });
+  for (PersistedQuery& q : state.queries) {
+    q.owner = server.OwnerOf(q.id).value_or(0);
+  }
   server.committed().ForEach(
       [&](QueryId qid, const AnswerSet& answer) {
         PersistedCommit pc;
         pc.id = qid;
         // AnswerSet iterates ascending by id; already sorted.
         pc.answer.assign(answer.begin(), answer.end());
-        state.commits.push_back(pc);
+        state.commits.push_back(std::move(pc));
       });
   auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
   std::sort(state.objects.begin(), state.objects.end(), by_id);
@@ -56,7 +109,8 @@ PersistentServer::PersistentServer(const Options& options)
 Status PersistentServer::Open() {
   if (open_) return Status::FailedPrecondition("already open");
   STQ_RETURN_IF_ERROR(repository_.Open());
-  const PersistedState& state = repository_.recovered();
+  // Taken, not borrowed: once restored, the server is the only copy.
+  const PersistedState state = repository_.TakeRecovered();
 
   server_ = std::make_unique<Server>(options_.server);
   Result<TickResult> restore =
@@ -284,7 +338,15 @@ Status PersistentServer::Checkpoint() {
 Status PersistentServer::Close() {
   if (!open_) return Status::OK();
   open_ = false;
-  return repository_.Close();
+  // Shutdown checkpoint: the next Open() then reads one snapshot instead
+  // of replaying the whole history. A degraded server skips it — its
+  // memory may hold a mutation the log refused to acknowledge.
+  Status checkpoint;
+  if (repository_.healthy()) {
+    checkpoint = repository_.Checkpoint(CaptureState());
+  }
+  const Status closed = repository_.Close();
+  return checkpoint.ok() ? closed : checkpoint;
 }
 
 }  // namespace stq

@@ -42,7 +42,10 @@
 namespace stq {
 
 // The full durable state of `server`, sorted by id — what a checkpoint
-// writes, and what crash tests compare against an oracle.
+// writes, and what crash tests compare against an oracle. Reports the
+// processor has accepted but not yet ticked are laid over the engine's
+// state (see QueryProcessor::pending_updates), so the capture equals what
+// replaying the WAL would rebuild.
 PersistedState CapturePersistedState(const Server& server);
 
 class PersistentServer {
@@ -105,12 +108,19 @@ class PersistentServer {
   // goes degraded.
   std::vector<Server::Delivery> Tick(Timestamp now);
 
-  // Writes a snapshot of the full current state and truncates the WAL.
+  // Writes a snapshot of the full current state, acknowledged but not yet
+  // ticked reports included, and starts a fresh WAL.
   Status Checkpoint();
 
   // The state a checkpoint would persist right now.
   PersistedState CaptureState() const;
 
+  // Clean shutdown: a healthy server first writes a shutdown checkpoint
+  // through the crash-safe Checkpoint() protocol, so the next Open()
+  // reads one snapshot and an empty WAL instead of replaying the whole
+  // history; then the WAL is closed. A degraded server skips the
+  // checkpoint. When the checkpoint fails its error is returned, but the
+  // WAL still closes and the next Open() replays it.
   Status Close();
 
   // Fronts this server with the session layer (stq::SessionManager), so

@@ -139,10 +139,11 @@ Status DecodeQueryUnregister(const std::string& payload, QueryId* id) {
   return Status::OK();
 }
 
-void EncodeCommit(const PersistedCommit& c, std::string* out) {
-  PutFixed64(out, c.id);
-  PutFixed32(out, static_cast<uint32_t>(c.answer.size()));
-  for (ObjectId oid : c.answer) PutFixed64(out, oid);
+void EncodeCommit(QueryId id, const std::vector<ObjectId>& answer,
+                  std::string* out) {
+  PutFixed64(out, id);
+  PutFixed32(out, static_cast<uint32_t>(answer.size()));
+  for (ObjectId oid : answer) PutFixed64(out, oid);
 }
 
 Status DecodeCommit(const std::string& payload, PersistedCommit* c) {

@@ -81,7 +81,11 @@ void EncodeQueryRegister(const PersistedQuery& q, std::string* out);
 void EncodeQueryMoveRect(QueryId id, const Rect& region, std::string* out);
 void EncodeQueryMoveCenter(QueryId id, const Point& center, std::string* out);
 void EncodeQueryUnregister(QueryId id, std::string* out);
-void EncodeCommit(const PersistedCommit& c, std::string* out);
+void EncodeCommit(QueryId id, const std::vector<ObjectId>& answer,
+                  std::string* out);
+inline void EncodeCommit(const PersistedCommit& c, std::string* out) {
+  EncodeCommit(c.id, c.answer, out);
+}
 void EncodeTick(Timestamp t, std::string* out);
 void EncodeEpoch(uint64_t epoch, std::string* out);
 

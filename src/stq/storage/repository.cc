@@ -1,8 +1,9 @@
 #include "stq/storage/repository.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
+
+#include "stq/common/flat_hash.h"
 
 namespace stq {
 
@@ -72,109 +73,29 @@ Status Repository::ReplayWal(bool* reuse_wal) {
 
   LogReader reader;
   STQ_RETURN_IF_ERROR(reader.Open(env_, wal_path_));
-
-  // Replay onto id-keyed maps so later records supersede earlier ones.
-  std::map<ObjectId, PersistedObject> objects;
-  std::map<QueryId, PersistedQuery> queries;
-  std::map<QueryId, PersistedCommit> commits;
-  for (const PersistedObject& o : recovered_.objects) objects[o.id] = o;
-  for (const PersistedQuery& q : recovered_.queries) queries[q.id] = q;
-  for (const PersistedCommit& c : recovered_.commits) commits[c.id] = c;
-  Timestamp last_tick = recovered_.last_tick;
-
-  bool first = true;
-  for (;;) {
-    uint8_t type = 0;
-    std::string payload;
-    bool eof = false;
+  uint8_t type = 0;
+  std::string payload;  // reused by every record
+  bool eof = false;
+  STQ_RETURN_IF_ERROR(reader.ReadRecord(&type, &payload, &eof));
+  if (!eof && static_cast<RecordType>(type) == RecordType::kEpoch) {
+    uint64_t wal_epoch = 0;
+    Status s = DecodeEpoch(payload, &wal_epoch);
+    if (!s.ok()) return WalCorruption(reader, s.message());
+    if (wal_epoch != epoch_) {
+      // A leftover from before the last durable checkpoint (crash
+      // between the snapshot rename and the WAL reset). Everything in it
+      // is already reflected in the snapshot: ignore it.
+      return reader.Close();
+    }
     STQ_RETURN_IF_ERROR(reader.ReadRecord(&type, &payload, &eof));
-    if (eof) break;
-    if (first) {
-      first = false;
-      if (static_cast<RecordType>(type) == RecordType::kEpoch) {
-        uint64_t wal_epoch = 0;
-        Status s = DecodeEpoch(payload, &wal_epoch);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        if (wal_epoch != epoch_) {
-          // A leftover from before the last durable checkpoint (crash
-          // between the snapshot rename and the WAL reset). Everything
-          // in it is already reflected in the snapshot: ignore it.
-          return reader.Close();
-        }
-        continue;
-      }
-      if (epoch_ != 0) {
-        // Headerless (legacy) WAL against an epoch'd snapshot: stale.
-        return reader.Close();
-      }
-    } else if (static_cast<RecordType>(type) == RecordType::kEpoch) {
-      return WalCorruption(reader, "epoch record not at start of log");
-    }
-    switch (static_cast<RecordType>(type)) {
-      case RecordType::kObjectUpsert: {
-        PersistedObject o;
-        Status s = DecodeObjectUpsert(payload, &o);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        objects[o.id] = o;
-        break;
-      }
-      case RecordType::kObjectRemove: {
-        ObjectId id = 0;
-        Status s = DecodeObjectRemove(payload, &id);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        objects.erase(id);
-        break;
-      }
-      case RecordType::kQueryRegister: {
-        PersistedQuery q;
-        Status s = DecodeQueryRegister(payload, &q);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        queries[q.id] = q;
-        break;
-      }
-      case RecordType::kQueryMoveRect: {
-        QueryId id = 0;
-        Rect region;
-        Status s = DecodeQueryMoveRect(payload, &id, &region);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        auto it = queries.find(id);
-        if (it != queries.end()) it->second.region = region;
-        break;
-      }
-      case RecordType::kQueryMoveCenter: {
-        QueryId id = 0;
-        Point center;
-        Status s = DecodeQueryMoveCenter(payload, &id, &center);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        auto it = queries.find(id);
-        if (it != queries.end()) it->second.center = center;
-        break;
-      }
-      case RecordType::kQueryUnregister: {
-        QueryId id = 0;
-        Status s = DecodeQueryUnregister(payload, &id);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        queries.erase(id);
-        commits.erase(id);
-        break;
-      }
-      case RecordType::kCommit: {
-        PersistedCommit c;
-        Status s = DecodeCommit(payload, &c);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        commits[c.id] = std::move(c);
-        break;
-      }
-      case RecordType::kTick: {
-        Status s = DecodeTick(payload, &last_tick);
-        if (!s.ok()) return WalCorruption(reader, s.message());
-        break;
-      }
-      default:
-        return WalCorruption(reader, "unexpected record type " +
-                                         std::to_string(type));
-    }
+  } else if (!eof && epoch_ != 0) {
+    // Headerless (legacy) WAL against an epoch'd snapshot: stale.
+    return reader.Close();
   }
+
+  // A WAL holding only its epoch header (the one a clean shutdown
+  // leaves) changes nothing: the snapshot is the state.
+  if (!eof) STQ_RETURN_IF_ERROR(ReplayRecords(&reader, type, &payload));
   const uint64_t valid = reader.valid_offset();
   const uint64_t records = reader.records_read();
   STQ_RETURN_IF_ERROR(reader.Close());
@@ -188,76 +109,179 @@ Status Repository::ReplayWal(bool* reuse_wal) {
     STQ_RETURN_IF_ERROR(env_->TruncateFile(wal_path_, valid));
   }
 
-  recovered_.objects.clear();
-  recovered_.queries.clear();
-  recovered_.commits.clear();
-  for (auto& [id, o] : objects) recovered_.objects.push_back(o);
-  for (auto& [id, q] : queries) recovered_.queries.push_back(q);
-  for (auto& [id, c] : commits) recovered_.commits.push_back(std::move(c));
-  recovered_.last_tick = last_tick;
-
   // An empty (or fully torn) WAL is recreated with a synced epoch
   // header; one with at least one valid record is appended to.
   *reuse_wal = records > 0;
   return Status::OK();
 }
 
-Status Repository::AppendRecord(RecordType type, const std::string& payload) {
+Status Repository::ReplayRecords(LogReader* reader, uint8_t type,
+                                 std::string* payload) {
+  // Replay onto id-keyed hash maps so later records supersede earlier
+  // ones; each list is sorted by id once, at the end.
+  FlatMap<ObjectId, PersistedObject> objects;
+  FlatMap<QueryId, PersistedQuery> queries;
+  FlatMap<QueryId, PersistedCommit> commits;
+  objects.reserve(recovered_.objects.size());
+  queries.reserve(recovered_.queries.size());
+  commits.reserve(recovered_.commits.size());
+  for (const PersistedObject& o : recovered_.objects) objects[o.id] = o;
+  for (const PersistedQuery& q : recovered_.queries) queries[q.id] = q;
+  for (PersistedCommit& c : recovered_.commits) commits[c.id] = std::move(c);
+  Timestamp last_tick = recovered_.last_tick;
+
+  PersistedCommit commit;
+  bool eof = false;
+  while (!eof) {
+    switch (static_cast<RecordType>(type)) {
+      case RecordType::kObjectUpsert: {
+        PersistedObject o;
+        Status s = DecodeObjectUpsert(*payload, &o);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        objects[o.id] = o;
+        break;
+      }
+      case RecordType::kObjectRemove: {
+        ObjectId id = 0;
+        Status s = DecodeObjectRemove(*payload, &id);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        objects.erase(id);
+        break;
+      }
+      case RecordType::kQueryRegister: {
+        PersistedQuery q;
+        Status s = DecodeQueryRegister(*payload, &q);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        queries[q.id] = q;
+        break;
+      }
+      case RecordType::kQueryMoveRect: {
+        QueryId id = 0;
+        Rect region;
+        Status s = DecodeQueryMoveRect(*payload, &id, &region);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        if (PersistedQuery* q = queries.FindPtr(id); q != nullptr) {
+          q->region = region;
+        }
+        break;
+      }
+      case RecordType::kQueryMoveCenter: {
+        QueryId id = 0;
+        Point center;
+        Status s = DecodeQueryMoveCenter(*payload, &id, &center);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        if (PersistedQuery* q = queries.FindPtr(id); q != nullptr) {
+          q->center = center;
+        }
+        break;
+      }
+      case RecordType::kQueryUnregister: {
+        QueryId id = 0;
+        Status s = DecodeQueryUnregister(*payload, &id);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        queries.erase(id);
+        commits.erase(id);
+        break;
+      }
+      case RecordType::kCommit: {
+        Status s = DecodeCommit(*payload, &commit);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        // Swap rather than copy: the superseded answer's buffer is reused
+        // by the next commit record.
+        PersistedCommit& entry = commits[commit.id];
+        entry.id = commit.id;
+        entry.answer.swap(commit.answer);
+        break;
+      }
+      case RecordType::kTick: {
+        Status s = DecodeTick(*payload, &last_tick);
+        if (!s.ok()) return WalCorruption(*reader, s.message());
+        break;
+      }
+      case RecordType::kEpoch:
+        return WalCorruption(*reader, "epoch record not at start of log");
+      default:
+        return WalCorruption(*reader, "unexpected record type " +
+                                         std::to_string(type));
+    }
+    STQ_RETURN_IF_ERROR(reader->ReadRecord(&type, payload, &eof));
+  }
+  auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
+  recovered_.objects.clear();
+  recovered_.objects.reserve(objects.size());
+  for (auto& [id, o] : objects) recovered_.objects.push_back(o);
+  std::sort(recovered_.objects.begin(), recovered_.objects.end(), by_id);
+  recovered_.queries.clear();
+  recovered_.queries.reserve(queries.size());
+  for (auto& [id, q] : queries) recovered_.queries.push_back(q);
+  std::sort(recovered_.queries.begin(), recovered_.queries.end(), by_id);
+  recovered_.commits.clear();
+  recovered_.commits.reserve(commits.size());
+  for (auto& [id, c] : commits) recovered_.commits.push_back(std::move(c));
+  std::sort(recovered_.commits.begin(), recovered_.commits.end(), by_id);
+  recovered_.last_tick = last_tick;
+
+  return Status::OK();
+}
+
+template <typename EncodeFn>
+Status Repository::AppendRecord(RecordType type, const EncodeFn& encode) {
   if (!open_) return Status::FailedPrecondition("repository not open");
   if (!poisoned_.ok()) return poisoned_;
-  return wal_.Append(static_cast<uint8_t>(type), payload);
+  return wal_.AppendEncoded(static_cast<uint8_t>(type), encode);
 }
 
 Status Repository::LogObjectUpsert(const PersistedObject& o) {
-  std::string payload;
-  EncodeObjectUpsert(o, &payload);
-  return AppendRecord(RecordType::kObjectUpsert, payload);
+  return AppendRecord(RecordType::kObjectUpsert,
+                      [&](std::string* out) { EncodeObjectUpsert(o, out); });
 }
 
 Status Repository::LogObjectRemove(ObjectId id) {
-  std::string payload;
-  EncodeObjectRemove(id, &payload);
-  return AppendRecord(RecordType::kObjectRemove, payload);
+  return AppendRecord(RecordType::kObjectRemove,
+                      [&](std::string* out) { EncodeObjectRemove(id, out); });
 }
 
 Status Repository::LogQueryRegister(const PersistedQuery& q) {
-  std::string payload;
-  EncodeQueryRegister(q, &payload);
-  return AppendRecord(RecordType::kQueryRegister, payload);
+  return AppendRecord(RecordType::kQueryRegister,
+                      [&](std::string* out) { EncodeQueryRegister(q, out); });
 }
 
 Status Repository::LogQueryMoveRect(QueryId id, const Rect& region) {
-  std::string payload;
-  EncodeQueryMoveRect(id, region, &payload);
-  return AppendRecord(RecordType::kQueryMoveRect, payload);
+  return AppendRecord(RecordType::kQueryMoveRect, [&](std::string* out) {
+    EncodeQueryMoveRect(id, region, out);
+  });
 }
 
 Status Repository::LogQueryMoveCenter(QueryId id, const Point& center) {
-  std::string payload;
-  EncodeQueryMoveCenter(id, center, &payload);
-  return AppendRecord(RecordType::kQueryMoveCenter, payload);
+  return AppendRecord(RecordType::kQueryMoveCenter, [&](std::string* out) {
+    EncodeQueryMoveCenter(id, center, out);
+  });
 }
 
 Status Repository::LogQueryUnregister(QueryId id) {
-  std::string payload;
-  EncodeQueryUnregister(id, &payload);
-  return AppendRecord(RecordType::kQueryUnregister, payload);
+  return AppendRecord(RecordType::kQueryUnregister, [&](std::string* out) {
+    EncodeQueryUnregister(id, out);
+  });
 }
 
 Status Repository::LogCommit(QueryId id, const std::vector<ObjectId>& answer) {
-  PersistedCommit c;
-  c.id = id;
-  c.answer = answer;
-  std::sort(c.answer.begin(), c.answer.end());
-  std::string payload;
-  EncodeCommit(c, &payload);
-  return AppendRecord(RecordType::kCommit, payload);
+  // Answers arrive sorted (QueryProcessor::CurrentAnswer); sort a copy
+  // only when one does not.
+  const std::vector<ObjectId>* ids = &answer;
+  std::vector<ObjectId> sorted;
+  if (!std::is_sorted(answer.begin(), answer.end())) {
+    sorted = answer;
+    std::sort(sorted.begin(), sorted.end());
+    ids = &sorted;
+  }
+  return AppendRecord(RecordType::kCommit, [&](std::string* out) {
+    EncodeCommit(id, *ids, out);
+  });
 }
 
 Status Repository::LogTick(Timestamp t) {
-  std::string payload;
-  EncodeTick(t, &payload);
-  return AppendRecord(RecordType::kTick, payload);
+  return AppendRecord(RecordType::kTick,
+                      [&](std::string* out) { EncodeTick(t, out); });
 }
 
 Status Repository::Sync() {
@@ -307,7 +331,6 @@ Status Repository::Checkpoint(const PersistedState& state) {
   s = CreateWal();
   if (!s.ok()) return Poison(s);
 
-  recovered_ = state;
   return Status::OK();
 }
 

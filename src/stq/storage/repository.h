@@ -27,8 +27,8 @@
 #define STQ_STORAGE_REPOSITORY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stq/common/status.h"
@@ -57,7 +57,11 @@ class Repository {
   // torn WAL tail, and discards a stale-epoch WAL.
   Status Open();
 
+  // The state Open() recovered (a later Checkpoint does not change it).
   const PersistedState& recovered() const { return recovered_; }
+  // Hands the recovered state to the caller, leaving recovered() empty,
+  // so an owner that has restored it does not keep a second copy.
+  PersistedState TakeRecovered() { return std::exchange(recovered_, {}); }
 
   // Current checkpoint epoch (0 until the first checkpoint).
   uint64_t epoch() const { return epoch_; }
@@ -92,8 +96,14 @@ class Repository {
   Status Close();
 
  private:
-  Status AppendRecord(RecordType type, const std::string& payload);
+  // Appends one record whose payload `encode(std::string*)` writes
+  // straight into the WAL writer's reused frame buffer.
+  template <typename EncodeFn>
+  Status AppendRecord(RecordType type, const EncodeFn& encode);
   Status ReplayWal(bool* reuse_wal);
+  // Folds the WAL's records, starting with the one already read into
+  // `type` and *payload, onto recovered_.
+  Status ReplayRecords(LogReader* reader, uint8_t type, std::string* payload);
   // Truncate-creates the WAL with a synced kEpoch header and syncs the
   // directory so the file's existence is durable.
   Status CreateWal();

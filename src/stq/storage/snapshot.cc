@@ -1,5 +1,7 @@
 #include "stq/storage/snapshot.h"
 
+#include <utility>
+
 #include "stq/storage/wal.h"
 
 namespace stq {
@@ -25,34 +27,31 @@ Status WriteSnapshotFile(Env* env, const std::string& path,
   Status s = writer.Open(env, path, /*truncate=*/true);
   if (!s.ok()) return s;
 
-  std::string payload;
-  EncodeEpoch(epoch, &payload);
-  s = writer.Append(static_cast<uint8_t>(RecordType::kEpoch), payload);
+  // Each record is encoded straight into the writer's frame buffer.
+  auto append = [&writer](RecordType type, const auto& encode) {
+    return writer.AppendEncoded(static_cast<uint8_t>(type), encode);
+  };
+  s = append(RecordType::kEpoch,
+             [&](std::string* out) { EncodeEpoch(epoch, out); });
   if (!s.ok()) return fail(s);
   for (const PersistedObject& o : state.objects) {
-    payload.clear();
-    EncodeObjectUpsert(o, &payload);
-    s = writer.Append(static_cast<uint8_t>(RecordType::kObjectUpsert),
-                      payload);
+    s = append(RecordType::kObjectUpsert,
+               [&](std::string* out) { EncodeObjectUpsert(o, out); });
     if (!s.ok()) return fail(s);
   }
   for (const PersistedQuery& q : state.queries) {
-    payload.clear();
-    EncodeQueryRegister(q, &payload);
-    s = writer.Append(static_cast<uint8_t>(RecordType::kQueryRegister),
-                      payload);
+    s = append(RecordType::kQueryRegister,
+               [&](std::string* out) { EncodeQueryRegister(q, out); });
     if (!s.ok()) return fail(s);
   }
   for (const PersistedCommit& c : state.commits) {
-    payload.clear();
-    EncodeCommit(c, &payload);
-    s = writer.Append(static_cast<uint8_t>(RecordType::kCommit), payload);
+    s = append(RecordType::kCommit,
+               [&](std::string* out) { EncodeCommit(c, out); });
     if (!s.ok()) return fail(s);
   }
   // Terminal record: its presence marks the snapshot as complete.
-  payload.clear();
-  EncodeTick(state.last_tick, &payload);
-  s = writer.Append(static_cast<uint8_t>(RecordType::kTick), payload);
+  s = append(RecordType::kTick,
+             [&](std::string* out) { EncodeTick(state.last_tick, out); });
   if (!s.ok()) return fail(s);
   s = writer.Sync();
   if (!s.ok()) return fail(s);
@@ -88,10 +87,10 @@ Status ReadSnapshot(Env* env, const std::string& path, PersistedState* state,
   LogReader reader;
   STQ_RETURN_IF_ERROR(reader.Open(env, path));
   bool complete = false;  // saw the terminal kTick record
+  uint8_t type = 0;
+  std::string payload;  // reused by every record
+  bool eof = false;
   for (;;) {
-    uint8_t type = 0;
-    std::string payload;
-    bool eof = false;
     STQ_RETURN_IF_ERROR(reader.ReadRecord(&type, &payload, &eof));
     if (eof) break;
     complete = false;
@@ -117,7 +116,7 @@ Status ReadSnapshot(Env* env, const std::string& path, PersistedState* state,
       case RecordType::kCommit: {
         PersistedCommit c;
         STQ_RETURN_IF_ERROR(DecodeCommit(payload, &c));
-        state->commits.push_back(c);
+        state->commits.push_back(std::move(c));
         break;
       }
       case RecordType::kTick: {

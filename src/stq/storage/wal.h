@@ -43,7 +43,21 @@ class LogWriter {
     return Open(nullptr, path, truncate);
   }
 
-  Status Append(uint8_t type, const std::string& payload);
+  Status Append(uint8_t type, const std::string& payload) {
+    return AppendEncoded(
+        type, [&payload](std::string* out) { out->append(payload); });
+  }
+
+  // Appends one record whose payload `encode(std::string* out)` appends
+  // to *out. The frame is built in place in a buffer the writer keeps,
+  // so a record costs one encode, one checksum and no allocation once
+  // the buffer has grown to the largest record.
+  template <typename EncodeFn>
+  Status AppendEncoded(uint8_t type, const EncodeFn& encode) {
+    STQ_RETURN_IF_ERROR(BeginFrame(type));
+    encode(&frame_);
+    return FinishFrame();
+  }
 
   // Flushes user-space buffers and fsyncs.
   Status Sync();
@@ -63,8 +77,15 @@ class LogWriter {
   const Status& error() const { return status_; }
 
  private:
+  // Checks the writer can append and starts frame_ with a header
+  // placeholder and the type byte.
+  Status BeginFrame(uint8_t type);
+  // Fills in the header of frame_ and appends it to the file.
+  Status FinishFrame();
+
   std::unique_ptr<WritableFile> file_;
   std::string path_;
+  std::string frame_;  // the record being appended; reused
   Status status_;  // sticky: first I/O failure
 };
 
@@ -79,12 +100,17 @@ class LogReader {
   Status Open(Env* env, const std::string& path);
   Status Open(const std::string& path) { return Open(nullptr, path); }
 
-  // Reads the next record. Returns:
+  // Reads the next record into *type and *payload (whose capacity is
+  // reused). Returns:
   //  - OK with *eof == false: a record was read,
   //  - OK with *eof == true: clean end of log (including a truncated tail),
   //  - Corruption: CRC mismatch or impossible frame. The message carries
   //    the byte offset and record index of the bad frame.
+  // Frames are parsed out of a buffer filled kBlockSize bytes at a time,
+  // so the reader holds at most one block plus the largest record.
   Status ReadRecord(uint8_t* type, std::string* payload, bool* eof);
+
+  static constexpr size_t kBlockSize = 64 << 10;
 
   Status Close();
 
@@ -100,9 +126,17 @@ class LogReader {
   uint64_t records_read() const { return records_; }
 
  private:
+  // Makes at least `n` unparsed bytes available in buf_ unless the file
+  // ends first; *available is how many there are.
+  Status Fill(size_t n, size_t* available);
+
   std::unique_ptr<SequentialFile> file_;
   std::string path_;
-  uint64_t offset_ = 0;             // current read position
+  std::string buf_;    // bytes read from the file; [pos_, end) unparsed
+  size_t pos_ = 0;
+  std::string chunk_;  // one Read's bytes, appended to buf_
+  bool file_done_ = false;          // the file returned a short read
+  uint64_t offset_ = 0;             // file offset of buf_[pos_]
   uint64_t valid_offset_ = 0;       // end of last good record
   uint64_t last_record_offset_ = 0; // start of the record being read
   uint64_t records_ = 0;

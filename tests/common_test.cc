@@ -1,6 +1,7 @@
 // Unit tests for stq/common: Status, Result, RNG, CRC32, byte accounting,
 // clock, and update canonicalization.
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -214,6 +215,69 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   crc = Crc32c(crc, payload.data(), 10);
   crc = Crc32c(crc, payload.data() + 10, payload.size() - 10);
   EXPECT_EQ(crc, one_shot);
+}
+
+// Known answers from RFC 3720 (iSCSI), appendix B.4.
+TEST(Crc32Test, Rfc3720KnownAnswers) {
+  std::string bytes(32, '\0');
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0x8A9136AAu);
+  bytes.assign(32, '\xFF');
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0x62A8AB43u);
+  for (int i = 0; i < 32; ++i) bytes[i] = static_cast<char>(i);
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0x46DD794Eu);
+  for (int i = 0; i < 32; ++i) bytes[i] = static_cast<char>(31 - i);
+  EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), 0x113FDB5Cu);
+  // An iSCSI SCSI Read (10) command PDU.
+  const unsigned char pdu[48] = {
+      0x01, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(Crc32c(pdu, sizeof(pdu)), 0xD9963A56u);
+}
+
+// The textbook one-byte-at-a-time CRC-32C, the oracle for the sliced one.
+uint32_t BytewiseCrc32c(uint32_t crc, const char* data, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Xorshift128Plus rng(0xC3C32Cull);
+  std::string buf(600, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.NextUint64(256));
+  // Every length up to a few slices at every misalignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 40; ++n) {
+      ASSERT_EQ(Crc32c(buf.data() + offset, n),
+                BytewiseCrc32c(0, buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  // Random spans, checksummed as chains of random pieces.
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t offset = rng.NextUint64(64);
+    const size_t n = rng.NextUint64(buf.size() - offset + 1);
+    const uint32_t expect = BytewiseCrc32c(0, buf.data() + offset, n);
+    ASSERT_EQ(Crc32c(buf.data() + offset, n), expect);
+    uint32_t chained = rng.NextUint64(2) == 0 ? 0 : 0x12345678u;
+    uint32_t chained_expect = chained;
+    size_t done = 0;
+    while (done < n) {
+      const size_t piece = std::min(n - done, 1 + rng.NextUint64(37));
+      chained = Crc32c(chained, buf.data() + offset + done, piece);
+      chained_expect =
+          BytewiseCrc32c(chained_expect, buf.data() + offset + done, piece);
+      done += piece;
+    }
+    ASSERT_EQ(chained, chained_expect) << "trial " << trial;
+  }
 }
 
 TEST(Crc32Test, SensitiveToSingleBitFlip) {

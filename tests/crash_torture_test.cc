@@ -12,6 +12,10 @@
 //   - after a kKeepPrefix crash (torn WAL tails, half-applied directory
 //     journals), recovery lands on *some* acknowledged prefix: every state
 //     component matches an op-boundary capture at or after the last sync;
+//   - a checkpoint taken mid-batch persists the acknowledged but not yet
+//     ticked reports, and a crash inside a checkpoint (including the
+//     shutdown checkpoint of a clean Close) recovers to either side of
+//     it;
 //   - recovery is itself crash-safe: crashing in the middle of Open() and
 //     recovering again still lands on the same boundary;
 //   - the InvariantAuditor passes after every recovery.
@@ -23,6 +27,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +64,7 @@ struct Op {
     kUnregisterQuery,
     kTick,
     kCheckpoint,
+    kClose,
   } kind = kReportObject;
   ObjectId oid = 0;
   QueryId qid = 0;
@@ -74,6 +80,9 @@ struct Op {
   double t = 0.0;
 };
 
+// With `checkpoint_every` > 0 a checkpoint follows every that-many-th
+// tick, and one more lands in the middle of the batch before it. Every
+// script ends with a clean Close (a shutdown checkpoint).
 std::vector<Op> MakeScript(uint64_t seed, int ticks, int ops_per_tick,
                            int checkpoint_every) {
   Xorshift128Plus rng(seed);
@@ -95,6 +104,12 @@ std::vector<Op> MakeScript(uint64_t seed, int ticks, int ops_per_tick,
 
   for (int tick = 1; tick <= ticks; ++tick) {
     for (int i = 0; i < ops_per_tick; ++i) {
+      if (checkpoint_every > 0 && (tick + 1) % checkpoint_every == 0 &&
+          i == ops_per_tick / 2) {
+        Op ckpt;
+        ckpt.kind = Op::kCheckpoint;
+        script.push_back(ckpt);
+      }
       Op op;
       op.t = tick - 1.0 + (i + 1.0) / (ops_per_tick + 1.0);
       const double dice = rng.NextDouble();
@@ -185,6 +200,9 @@ std::vector<Op> MakeScript(uint64_t seed, int ticks, int ops_per_tick,
       script.push_back(ckpt);
     }
   }
+  Op close;
+  close.kind = Op::kClose;
+  script.push_back(close);
   return script;
 }
 
@@ -226,16 +244,17 @@ Status ApplyOp(const Op& op, ServerT* s) {
       return s->UnregisterQuery(op.qid);
     case Op::kTick:
     case Op::kCheckpoint:
+    case Op::kClose:
       break;
   }
   return Status::Internal("not a mutation op");
 }
 
 // The processor buffers reports and query changes until the next tick,
-// so the oracle's stores lag mid-batch — but WAL replay materializes
-// every record immediately. The shadow tracks last-reported object and
-// query parameters so mid-batch captures match what recovery rebuilds.
-// At tick boundaries the shadow and the oracle's stores coincide.
+// but WAL replay materializes every record immediately. The shadow
+// tracks last-reported object and query parameters: a model of what
+// recovery rebuilds that is independent of the pending-buffer overlay in
+// CapturePersistedState, so mid-batch captures check that overlay too.
 struct Shadow {
   std::map<ObjectId, PersistedObject> objects;
   std::map<QueryId, PersistedQuery> queries;
@@ -295,6 +314,7 @@ void ApplyShadow(const Op& op, Shadow* shadow) {
     case Op::kCommitQuery:
     case Op::kTick:
     case Op::kCheckpoint:
+    case Op::kClose:
       break;
   }
 }
@@ -326,16 +346,21 @@ struct DriveResult {
   // mid-logging, its records may or may not survive a torn crash, so the
   // oracle state with that op applied is also a legal recovery target.
   std::vector<PersistedState> captures;
-  // Index into `captures` of the last completed sync boundary (Tick or
-  // Checkpoint): the exact recovery target under kDropAll loss.
+  // Index into `captures` of the last completed sync boundary (Tick,
+  // Checkpoint or Close): the exact recovery target under kDropAll loss.
   size_t last_synced = 0;
+  // Set when driving stopped at a failed Checkpoint or Close: the index
+  // of its capture. The crash may have come after the new snapshot was
+  // durably renamed into place, so recovery may also land there.
+  std::optional<size_t> in_doubt;
 };
 
 // Replays `script` against a PersistentServer on `env` and a plain
 // in-memory oracle Server. Only acknowledged operations reach the oracle;
 // driving stops at the first injected failure (the server is degraded and
-// refuses everything afterwards anyway). The PersistentServer is
-// destroyed without Close() — destruction models the process dying.
+// refuses everything afterwards anyway). Unless the script reached its
+// Close, the PersistentServer is destroyed without one — destruction
+// models the process dying.
 DriveResult Drive(const std::vector<Op>& script, FaultInjectionEnv* env,
                   int num_shards = 1) {
   DriveResult result;
@@ -356,10 +381,14 @@ DriveResult Drive(const std::vector<Op>& script, FaultInjectionEnv* env,
       result.captures.push_back(ShadowCapture(oracle, shadow));
       if (ps.degraded()) break;  // tick logged but not synced: speculative
       result.last_synced = result.captures.size() - 1;
-    } else if (op.kind == Op::kCheckpoint) {
-      const bool ok = ps.Checkpoint().ok();
+    } else if (op.kind == Op::kCheckpoint || op.kind == Op::kClose) {
+      const bool ok =
+          (op.kind == Op::kCheckpoint ? ps.Checkpoint() : ps.Close()).ok();
       result.captures.push_back(ShadowCapture(oracle, shadow));
-      if (!ok) break;
+      if (!ok) {
+        result.in_doubt = result.captures.size() - 1;
+        break;
+      }
       result.last_synced = result.captures.size() - 1;
     } else {
       const Status s = ApplyOp(op, &ps);
@@ -383,14 +412,19 @@ std::string Describe(const PersistedState& s) {
 }
 
 // Reopens the repository after a crash and checks strict equality with
-// the oracle capture plus a full invariant audit.
-void VerifyExactRecovery(FaultInjectionEnv* env, const PersistedState& expect,
+// the oracle capture at the last sync boundary (or at the checkpoint the
+// crash interrupted) plus a full invariant audit.
+void VerifyExactRecovery(FaultInjectionEnv* env, const DriveResult& r,
                          const std::string& what, int num_shards = 1) {
+  const PersistedState& expect = r.captures[r.last_synced];
   PersistentServer recovered(TortureOptions(env, num_shards));
   ASSERT_TRUE(recovered.Open().ok()) << what;
   const PersistedState got = CapturePersistedState(recovered.server());
-  EXPECT_TRUE(got == expect) << what << ": recovered " << Describe(got)
-                             << " but oracle has " << Describe(expect);
+  const bool in_doubt_match =
+      r.in_doubt.has_value() && got == r.captures[*r.in_doubt];
+  EXPECT_TRUE(got == expect || in_doubt_match)
+      << what << ": recovered " << Describe(got) << " but oracle has "
+      << Describe(expect);
   const AuditReport report = InvariantAuditor().AuditServer(recovered.server());
   EXPECT_TRUE(report.ok()) << what << ": " << report.ToString();
   ASSERT_TRUE(recovered.Close().ok()) << what;
@@ -441,7 +475,7 @@ TEST(CrashTortureTest, DeterministicSweepRecoversExactlyAtSyncBoundary) {
       env.CrashAfterOps(k);
       const DriveResult r = Drive(script, &env);
       env.SimulateCrash(UnsyncedLoss::kDropAll);
-      VerifyExactRecovery(&env, r.captures[r.last_synced],
+      VerifyExactRecovery(&env, r,
                           "seed " + std::to_string(cfg.seed) +
                               " crash at I/O op " + std::to_string(k));
       if (HasFatalFailure()) return;
@@ -509,7 +543,7 @@ TEST(CrashTortureTest, ShardedDeterministicSweepRecoversAtSyncBoundary) {
     env.CrashAfterOps(k);
     const DriveResult r = Drive(script, &env, kShards);
     env.SimulateCrash(UnsyncedLoss::kDropAll);
-    VerifyExactRecovery(&env, r.captures[r.last_synced],
+    VerifyExactRecovery(&env, r,
                         "sharded crash at I/O op " + std::to_string(k),
                         kShards);
     if (HasFatalFailure()) return;
@@ -530,7 +564,6 @@ TEST(CrashTortureTest, CrashDuringRecoveryStillLandsOnBoundary) {
       env.CrashAfterOps(k);
       const DriveResult r = Drive(script, &env);
       env.SimulateCrash(UnsyncedLoss::kDropAll);
-      const PersistedState& expect = r.captures[r.last_synced];
       {
         env.CrashAfterOps(j);
         PersistentServer wounded(TortureOptions(&env));
@@ -538,9 +571,63 @@ TEST(CrashTortureTest, CrashDuringRecoveryStillLandsOnBoundary) {
         if (s.ok()) (void)wounded.Close();  // may fail on the budget; fine
       }
       env.SimulateCrash(UnsyncedLoss::kDropAll);
-      VerifyExactRecovery(&env, expect, what);
+      VerifyExactRecovery(&env, r, what);
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+// The capture rule: a checkpoint persists exactly what WAL replay would
+// rebuild. Random scripts stop mid-batch, with reports acknowledged after
+// the last tick; reopening after Checkpoint+Close must equal reopening
+// after a crash that kept the whole WAL, and both must equal the live
+// server's capture.
+TEST(CrashTortureTest, CheckpointMidBatchEqualsWalReplay) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::vector<Op> script = MakeScript(100 + seed, 5, 10, 0);
+    Xorshift128Plus rng(seed);
+    // Cut inside a batch: past at least one mutation after a tick.
+    size_t cut = 1 + rng.NextUint64(script.size() - 2);
+    while (cut > 1 && script[cut - 1].kind == Op::kTick) --cut;
+    const std::string what =
+        "seed " + std::to_string(seed) + " cut at op " + std::to_string(cut);
+    auto run = [&](FaultInjectionEnv* env, bool clean) {
+      PersistentServer ps(TortureOptions(env));
+      STQ_CHECK(ps.Open().ok());
+      for (ClientId cid = 1; cid <= 3; ++cid) {
+        STQ_CHECK(ps.AttachClient(cid).ok());
+      }
+      for (size_t i = 0; i < cut; ++i) {
+        if (script[i].kind == Op::kTick) {
+          ps.Tick(script[i].t);
+        } else {
+          STQ_CHECK(ApplyOp(script[i], &ps).ok()) << what;
+        }
+      }
+      const PersistedState live = ps.CaptureState();
+      if (clean) {
+        STQ_CHECK(ps.Checkpoint().ok());
+        STQ_CHECK(ps.Close().ok());
+      }
+      return live;  // otherwise destroyed unclosed: a crash
+    };
+    FaultInjectionEnv checkpointed_env;
+    FaultInjectionEnv crashed_env;
+    const PersistedState live = run(&checkpointed_env, /*clean=*/true);
+    ASSERT_TRUE(run(&crashed_env, /*clean=*/false) == live) << what;
+
+    PersistentServer from_snapshot(TortureOptions(&checkpointed_env));
+    ASSERT_TRUE(from_snapshot.Open().ok()) << what;
+    PersistentServer from_wal(TortureOptions(&crashed_env));
+    ASSERT_TRUE(from_wal.Open().ok()) << what;
+    const PersistedState got = from_snapshot.CaptureState();
+    EXPECT_TRUE(got == from_wal.CaptureState())
+        << what << ": checkpoint recovered " << Describe(got)
+        << ", WAL replay " << Describe(from_wal.CaptureState());
+    EXPECT_TRUE(got == live) << what << ": recovered " << Describe(got)
+                             << " but the live server had " << Describe(live);
+    ASSERT_TRUE(from_snapshot.Close().ok());
+    ASSERT_TRUE(from_wal.Close().ok());
   }
 }
 

@@ -3,12 +3,14 @@
 // recovery protocol working across a server restart.
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "stq/core/client.h"
+#include "stq/storage/fault_env.h"
 #include "stq/storage/persistent_server.h"
 
 namespace stq {
@@ -274,6 +276,106 @@ TEST_F(PersistentServerTest, MovingQueryAutoCommitIsDurable) {
   ASSERT_TRUE(recovered.Open().ok());
   EXPECT_TRUE(recovered.server().committed().HasCommit(1));
   EXPECT_TRUE(recovered.server().committed().Committed(1).contains(1));
+  ASSERT_TRUE(recovered.Close().ok());
+}
+
+// Mutations acknowledged after the last tick are still buffered in the
+// processor; a checkpoint must persist them, since it discards the WAL
+// that held them.
+TEST_F(PersistentServerTest, CheckpointKeepsReportsNotYetTicked) {
+  {
+    PersistentServer server(MakeOptions());
+    ASSERT_TRUE(server.Open().ok());
+    ASSERT_TRUE(server.AttachClient(1).ok());
+    ASSERT_TRUE(server.ReportObject(1, Point{0.1, 0.1}, 0.0).ok());
+    ASSERT_TRUE(server.RegisterRangeQuery(1, 1, Rect{0.0, 0.0, 0.5, 0.5}).ok());
+    ASSERT_TRUE(server.RegisterKnnQuery(2, 1, Point{0.5, 0.5}, 1).ok());
+    server.Tick(1.0);
+    ASSERT_TRUE(server.ReportObject(2, Point{0.2, 0.2}, 1.5).ok());
+    ASSERT_TRUE(server.ReportObject(1, Point{0.3, 0.3}, 1.5).ok());
+    ASSERT_TRUE(server.MoveRangeQuery(1, Rect{0.1, 0.1, 0.6, 0.6}).ok());
+    ASSERT_TRUE(server.UnregisterQuery(2).ok());
+    ASSERT_TRUE(server.RegisterCircleQuery(3, 1, Point{0.2, 0.2}, 0.1).ok());
+    ASSERT_TRUE(server.Checkpoint().ok());
+    ASSERT_TRUE(server.Close().ok());
+  }
+  PersistentServer recovered(MakeOptions());
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_EQ(recovered.processor().num_objects(), 2u);
+  EXPECT_EQ(recovered.processor().num_queries(), 2u);
+  EXPECT_FALSE(recovered.processor().HasQuery(2));
+  const PersistedState state = recovered.CaptureState();
+  ASSERT_EQ(state.objects.size(), 2u);
+  EXPECT_EQ(state.objects[0].loc, (Point{0.3, 0.3}));
+  EXPECT_EQ(state.objects[0].t, 1.5);
+  ASSERT_EQ(state.queries.size(), 2u);
+  EXPECT_EQ(state.queries[0].region, (Rect{0.1, 0.1, 0.6, 0.6}));
+  EXPECT_EQ(state.queries[1].kind, QueryKind::kCircleRange);
+  EXPECT_EQ(state.queries[1].owner, 1u);
+  ASSERT_TRUE(recovered.Close().ok());
+}
+
+// A clean Close is a shutdown checkpoint: the reopened server reads the
+// snapshot and a WAL that holds only its epoch header.
+TEST_F(PersistentServerTest, CloseWritesAShutdownCheckpoint) {
+  PersistedState before;
+  {
+    PersistentServer server(MakeOptions());
+    ASSERT_TRUE(server.Open().ok());
+    ASSERT_TRUE(server.AttachClient(1).ok());
+    ASSERT_TRUE(server.RegisterRangeQuery(1, 1, Rect{0.0, 0.0, 1.0, 1.0}).ok());
+    for (int tick = 1; tick <= 5; ++tick) {
+      for (ObjectId id = 1; id <= 20; ++id) {
+        ASSERT_TRUE(server.ReportObject(id, Point{id / 21.0, tick / 6.0},
+                                        static_cast<double>(tick))
+                        .ok());
+      }
+      server.Tick(static_cast<double>(tick));
+      ASSERT_TRUE(server.CommitQuery(1).ok());
+    }
+    ASSERT_TRUE(server.ReportObject(21, Point{0.5, 0.5}, 5.5).ok());
+    before = server.CaptureState();
+    ASSERT_TRUE(server.Close().ok());
+    EXPECT_TRUE(server.Close().ok());  // idempotent
+  }
+  const std::string wal = dir_ + "/WAL";
+  FILE* f = std::fopen(wal.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  EXPECT_EQ(std::ftell(f), 8 + 1 + 8);  // one frame: the epoch header
+  ASSERT_EQ(std::fclose(f), 0);
+
+  PersistentServer recovered(MakeOptions());
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_TRUE(recovered.CaptureState() == before);
+  EXPECT_EQ(recovered.processor().num_objects(), 21u);
+  ASSERT_TRUE(recovered.Close().ok());
+}
+
+// A degraded server must not checkpoint at Close: its memory may hold a
+// mutation the log refused.
+TEST_F(PersistentServerTest, DegradedCloseWritesNoCheckpoint) {
+  FaultInjectionEnv env;
+  PersistentServer::Options options = MakeOptions();
+  options.dir = "/db";
+  options.env = &env;
+  {
+    PersistentServer server(options);
+    ASSERT_TRUE(server.Open().ok());
+    ASSERT_TRUE(server.ReportObject(1, Point{0.1, 0.1}, 0.0).ok());
+    server.Tick(1.0);
+    FaultInjectionEnv::Failpoint fail;
+    fail.fail_count = -1;
+    env.SetFailpoint("append", fail);
+    EXPECT_FALSE(server.ReportObject(2, Point{0.2, 0.2}, 1.5).ok());
+    ASSERT_TRUE(server.degraded());
+    EXPECT_FALSE(server.Close().ok());
+    env.ClearFailpoint("append");
+  }
+  EXPECT_FALSE(env.FileExists("/db/SNAPSHOT"));
+  PersistentServer recovered(options);
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_EQ(recovered.processor().num_objects(), 1u);
   ASSERT_TRUE(recovered.Close().ok());
 }
 
